@@ -1,6 +1,6 @@
 //! Admission-control micro-benchmarks: the §III-A claim that admission is
 //! "quite simple" (O(1)) and the statistical `Q < ε` test, plus the
-//! incremental max-flow probe used online.
+//! incremental b-matching probe used online.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fqos_core::{AppAdmission, StatisticalCounters};
@@ -35,7 +35,7 @@ fn bench_admission(c: &mut Criterion) {
         b.iter(|| black_box(counters.would_admit(black_box(9), &p, 0.01)));
     });
 
-    // Online feasibility probe via incremental max-flow.
+    // Online feasibility probe via the incremental b-matching.
     for &m in &[1usize, 2] {
         group.bench_with_input(BenchmarkId::new("incremental_try_add", m), &m, |b, &m| {
             b.iter(|| {

@@ -68,11 +68,14 @@ pub enum DegradedAdmit {
 /// Incremental degraded-mode feasibility for one serving window.
 ///
 /// The online serving path admits requests one at a time and needs the
-/// degraded analogue of [`IncrementalRetrieval`]: the same re-augmenting
-/// max-flow schedule, but with failed devices excluded from the bipartite
-/// graph, exactly as [`degraded_retrieval`] excludes them for a batch.
-/// Requests whose every replica is down are refused (`Unavailable`), never
-/// silently dropped — the caller decides whether to delay or reject.
+/// degraded analogue of [`IncrementalRetrieval`]: the same exact
+/// one-augmenting-path schedule, but with failed devices excluded, exactly
+/// as [`degraded_retrieval`] excludes them for a batch. A failed device
+/// keeps no capacity, so no unit is ever placed on it and the augmenting
+/// search finds it a dead end; that decides and assigns exactly as
+/// filtering it out of every replica list would. Requests whose every
+/// replica is down are refused (`Unavailable`), never silently dropped —
+/// the caller decides whether to delay or reject.
 #[derive(Debug, Clone)]
 pub struct DegradedWindow {
     inc: IncrementalRetrieval,
@@ -84,9 +87,26 @@ impl DegradedWindow {
     /// Feasibility state for one window over `devices` devices with a
     /// per-device budget of `accesses`, with `failed` devices down.
     pub fn new(devices: usize, accesses: usize, failed: &[bool]) -> Self {
+        Self::with_reserve(devices, accesses, failed, &[])
+    }
+
+    /// As [`DegradedWindow::new`], with `reserve[d]` of device `d`'s
+    /// accesses withheld from admission (missing entries withhold none).
+    /// Equal, in every decision and read assignment, to first admitting
+    /// `reserve[d]` requests pinned to each live device `d`.
+    pub fn with_reserve(devices: usize, accesses: usize, failed: &[bool], reserve: &[u32]) -> Self {
         assert_eq!(failed.len(), devices);
+        let mut inc = IncrementalRetrieval::new(devices, accesses);
+        for (d, &down) in failed.iter().enumerate() {
+            let withheld = if down {
+                accesses
+            } else {
+                reserve.get(d).map_or(0, |&r| r as usize)
+            };
+            inc.withhold(d, withheld);
+        }
         DegradedWindow {
-            inc: IncrementalRetrieval::new(devices, accesses),
+            inc,
             live_devices: failed.iter().filter(|&&f| !f).count(),
             failed: failed.to_vec(),
         }
@@ -123,23 +143,10 @@ impl DegradedWindow {
 
     /// Try to admit one request, scheduling it on a surviving replica.
     pub fn try_add(&mut self, replicas: &[DeviceId]) -> DegradedAdmit {
-        if !self.touches_failed(replicas) {
-            // Fast path: all replicas live, no filtering allocation.
-            return if self.inc.try_add(replicas) {
-                DegradedAdmit::Admitted
-            } else {
-                DegradedAdmit::Infeasible
-            };
-        }
-        let live: Vec<DeviceId> = replicas
-            .iter()
-            .copied()
-            .filter(|&d| !self.failed[d])
-            .collect();
-        if live.is_empty() {
-            DegradedAdmit::Unavailable
-        } else if self.inc.try_add(&live) {
+        if self.inc.try_add(replicas) {
             DegradedAdmit::Admitted
+        } else if replicas.iter().all(|&d| self.failed[d]) {
+            DegradedAdmit::Unavailable
         } else {
             DegradedAdmit::Infeasible
         }
@@ -297,6 +304,40 @@ mod tests {
         // The flow re-routes the first request to device 1.
         assert_eq!(win.assignments(), vec![1, 0]);
         assert_eq!(win.try_add(&[0, 1]), DegradedAdmit::Infeasible);
+    }
+
+    #[test]
+    fn reserve_equals_pinned_units() {
+        // Reserve `r` on device `d` decides and assigns reads exactly like
+        // `r` requests pinned to `d`, admitted before anything else.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..300 {
+            let devices = 2 + next(8);
+            let m = 1 + next(3);
+            let failed: Vec<bool> = (0..devices).map(|_| next(5) == 0).collect();
+            let reserve: Vec<u32> = (0..devices).map(|_| next(3) as u32).collect();
+            let mut reserved = DegradedWindow::with_reserve(devices, m, &failed, &reserve);
+            let mut pinned = DegradedWindow::new(devices, m, &failed);
+            let mut pins = 0;
+            for (d, &r) in reserve.iter().enumerate() {
+                for _ in 0..r {
+                    if pinned.try_add(&[d]) == DegradedAdmit::Admitted {
+                        pins += 1;
+                    }
+                }
+            }
+            for _ in 0..3 * devices {
+                let replicas: Vec<usize> = (0..1 + next(3)).map(|_| next(devices)).collect();
+                assert_eq!(reserved.try_add(&replicas), pinned.try_add(&replicas));
+                assert_eq!(reserved.assignments(), pinned.assignments()[pins..]);
+            }
+        }
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //!
 //! * [`graph::FlowNetwork`] — residual-graph representation.
 //! * [`dinic`] — Dinic's algorithm, `O(E·√V)` on unit-capacity bipartite
-//!   networks (the production path).
+//!   networks (the batch production path).
 //! * [`edmonds_karp`] — Edmonds–Karp BFS augmentation (cross-check baseline).
 //! * [`push_relabel`] — Goldberg–Tarjan push–relabel with the gap
 //!   heuristic (third independent implementation, dense-network option).
 //! * [`retrieval`] — the block→device retrieval network, feasibility test,
 //!   minimal-`M` search and schedule extraction.
-//! * [`incremental`] — one-request-at-a-time augmentation for online use.
+//! * [`incremental`] — online admission: an allocation-free incremental
+//!   b-matching, one augmenting path per request.
 //!
 //! # Example
 //!

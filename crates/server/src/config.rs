@@ -90,11 +90,13 @@ impl WalConfig {
 /// devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AssignmentMode {
-    /// Maintain an incremental max-flow retrieval schedule per window
-    /// ([`fqos_maxflow::IncrementalRetrieval`]): admission is exact — a
-    /// request is refused only if **no** reassignment of the window's
-    /// earlier requests fits the `M`-access budget. Replica choice is
-    /// deferred to window seal, when the final flow is known.
+    /// Maintain an exact retrieval schedule per window
+    /// ([`fqos_maxflow::IncrementalRetrieval`], an incremental bipartite
+    /// b-matching that admits each request by at most one augmenting
+    /// path): admission is exact — a request is refused only if **no**
+    /// reassignment of the window's earlier requests fits the `M`-access
+    /// budget. Replica choice is deferred to window seal, when the final
+    /// schedule is known.
     #[default]
     OptimalFlow,
     /// Greedy earliest-finish-time on arrival: pick the replica with the

@@ -11,8 +11,9 @@
 //!                           │   └ AppAdmission (§III-A)    │  admission
 //!                           ├──────────────────────────────┤
 //!                           │ WindowRing (interval slots)  │  per-window
-//!                           │   └ IncrementalRetrieval /   │  feasibility,
-//!                           │     EFT replica selection    │  ≤ M per device
+//!                           │   └ IncrementalRetrieval     │  feasibility,
+//!                           │     (one augmenting path) /  │  ≤ M per device
+//!                           │     EFT replica selection    │
 //!                           ├──────────────────────────────┤
 //!                           │ dispatcher (watermark seal)  │  in-order,
 //!                           │   └ bounded worker queues    │  backpressure

@@ -4,7 +4,7 @@
 //! during `w` are *executed* in window `w+1` and must finish by the start
 //! of `w+2` — that is the request's **interval deadline**. Because every
 //! admitted set is schedulable in at most `M` accesses per device
-//! (exactly, via incremental max-flow, or conservatively, via greedy EFT)
+//! (exactly, via incremental b-matching, or conservatively, via greedy EFT)
 //! and `M · service ≤ T` is enforced by config validation, a sealed
 //! window's guaranteed requests always meet their deadline — regardless of
 //! how submitter threads interleave.
@@ -93,13 +93,9 @@ struct SlotState {
     loads: Vec<u32>,
     /// Per-device GC-pressure reserve captured when the slot opened:
     /// capacity withheld from admission on devices under write
-    /// amplification. In flow mode the reserve is materialized as pinned
-    /// phantom units already inside `flow` (counted by `phantom`); in EFT
-    /// mode it shrinks the per-device budget directly.
+    /// amplification. Flow mode hands it to `flow` as reduced device
+    /// capacity; EFT mode shrinks the per-device budget with it here.
     reserve: Vec<u32>,
-    /// Successful phantom reserve units injected into `flow` at reset;
-    /// seal skips this many leading assignment entries.
-    phantom: usize,
     /// Per-tenant admitted count, enforcing each tenant's reservation.
     per_tenant: HashMap<u64, u32>,
     guaranteed: Vec<Parked>,
@@ -122,24 +118,12 @@ impl SlotState {
         self.active = true;
         self.admit_mask = admit_mask;
         self.fail_mask = fail_mask;
-        self.phantom = 0;
         self.flow = match mode {
             AssignmentMode::OptimalFlow => {
                 let failed: Vec<bool> = (0..devices).map(|d| admit_mask >> d & 1 == 1).collect();
-                let mut flow = DegradedWindow::new(devices, accesses, &failed);
-                // Materialize the GC-pressure reserve as pinned phantom
-                // units: capacity the flow can never hand to a request.
-                for (d, &r) in reserve.iter().enumerate() {
-                    if admit_mask >> d & 1 == 1 {
-                        continue;
-                    }
-                    for _ in 0..r {
-                        if flow.try_add(&[d]) == DegradedAdmit::Admitted {
-                            self.phantom += 1;
-                        }
-                    }
-                }
-                Some(flow)
+                Some(DegradedWindow::with_reserve(
+                    devices, accesses, &failed, reserve,
+                ))
             }
             AssignmentMode::Eft => None,
         };
@@ -224,7 +208,6 @@ impl WindowRing {
                         flow: None,
                         loads: Vec::new(),
                         reserve: Vec::new(),
-                        phantom: 0,
                         per_tenant: HashMap::new(),
                         guaranteed: Vec::new(),
                         overflow: Vec::new(),
@@ -385,7 +368,7 @@ impl WindowRing {
         match self.mode {
             AssignmentMode::OptimalFlow => {
                 let flow = s.flow.as_mut().expect("flow mode");
-                // Charge one pinned unit per replica; the incremental flow
+                // Charge one pinned unit per replica; the incremental schedule
                 // cannot retract units, so snapshot for exact rollback when
                 // a later replica does not fit.
                 let snapshot = flow.clone();
@@ -520,7 +503,6 @@ impl WindowRing {
         let guaranteed = std::mem::take(&mut s.guaranteed);
         let overflow = std::mem::take(&mut s.overflow);
         let flow = s.flow.take();
-        let phantom = s.phantom;
         drop(s);
 
         // Final per-device loads are rebuilt from scratch so seal-time
@@ -531,30 +513,29 @@ impl WindowRing {
         // Logical guaranteed admissions: a write counts once even though it
         // emits one item per replica copy below.
         let n_guaranteed = guaranteed.len() as u64;
-        // Per-parked preliminary assignment. The flow's assignment list
-        // leads with the GC-reserve phantom units, then one entry per
-        // admitted unit in admission order: reads consumed one unit, writes
-        // one per charged replica. Writes ignore their entries (they fan
-        // out to every replica regardless), so skip those slots.
+        // Per-parked preliminary assignment. The flow's assignment list has
+        // one entry per admitted unit in admission order: reads consumed
+        // one unit, writes one per charged replica. Writes ignore their
+        // entries (they fan out to every replica regardless), so skip
+        // those slots.
         let prelim: Vec<Option<usize>> = match self.mode {
             AssignmentMode::OptimalFlow => {
                 let flow = flow.expect("flow mode");
                 let assigns = flow.assignments();
                 debug_assert_eq!(
                     assigns.len(),
-                    phantom
-                        + guaranteed
-                            .iter()
-                            .map(|p| {
-                                if p.req.op == IoOp::Write {
-                                    p.charged.len()
-                                } else {
-                                    1
-                                }
-                            })
-                            .sum::<usize>()
+                    guaranteed
+                        .iter()
+                        .map(|p| {
+                            if p.req.op == IoOp::Write {
+                                p.charged.len()
+                            } else {
+                                1
+                            }
+                        })
+                        .sum::<usize>()
                 );
-                let mut next = assigns.into_iter().skip(phantom);
+                let mut next = assigns.into_iter();
                 guaranteed
                     .iter()
                     .map(|p| {
@@ -1218,6 +1199,18 @@ mod tests {
             assert_eq!(sealed.total, 3);
             assert!(sealed.items.iter().all(|i| i.write_group.is_none()));
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn slot_state_does_not_grow() {
+        // The ring keeps `ring_slots` `SlotState`s, each with its
+        // `DegradedWindow` inline, for the server's lifetime: every byte
+        // either gains is paid `ring_slots` times, in `peak_heap_mb` and in
+        // `setup_s`. The bounds are the sizes under the earlier
+        // Dinic-backed admission kernel.
+        assert!(std::mem::size_of::<SlotState>() <= 368);
+        assert!(std::mem::size_of::<DegradedWindow>() <= 184);
     }
 
     #[test]
