@@ -25,11 +25,8 @@ fn run_fleet(arrays: usize) -> (u64, ClusterMetrics) {
     let qos = QosConfig::paper_9_3_1().with_accesses(2); // S(2) = 14
     let t = qos.interval_ns;
     let limit = qos.request_limit();
-    let cluster = QosCluster::new(ClusterConfig::uniform(
-        arrays,
-        &ServerConfig::new(qos).with_workers(4).with_queue_depth(64),
-    ))
-    .expect("valid config");
+    let cluster = QosCluster::new(ClusterConfig::uniform(arrays, &ServerConfig::new(qos)))
+        .expect("valid config");
 
     let base = limit / TENANTS_PER_ARRAY;
     let extra = limit % TENANTS_PER_ARRAY;
@@ -89,11 +86,8 @@ fn run_fleet(arrays: usize) -> (u64, ClusterMetrics) {
 fn run_skew() -> ClusterMetrics {
     let qos = QosConfig::paper_9_3_1(); // S(1) = 5
     let t = qos.interval_ns;
-    let cluster = QosCluster::new(ClusterConfig::uniform(
-        2,
-        &ServerConfig::new(qos).with_workers(4),
-    ))
-    .expect("valid config");
+    let cluster =
+        QosCluster::new(ClusterConfig::uniform(2, &ServerConfig::new(qos))).expect("valid config");
     for &(tenant, reserved) in &[(1u64, 2usize), (2, 2), (3, 1)] {
         cluster
             .register_pinned(0, tenant, reserved, OverloadPolicy::Delay)

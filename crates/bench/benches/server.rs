@@ -1,5 +1,5 @@
 //! End-to-end benchmarks for the concurrent serving engine: how fast the
-//! full admission → dispatch → worker-pool path drains a multi-tenant
+//! full admission → seal → device-model path drains a multi-tenant
 //! synthetic workload, under both assignment modes and under submitter
 //! contention.
 //!
@@ -21,17 +21,12 @@ const WINDOWS: u64 = 120;
 /// Drive one complete serve: `submitters` threads each own a tenant slice
 /// of `S(M)` and replay `WINDOWS` intervals. Returns the request count and
 /// the final snapshot.
-fn run_serve(mode: AssignmentMode, submitters: usize, workers: usize) -> (u64, MetricsSnapshot) {
+fn run_serve(mode: AssignmentMode, submitters: usize) -> (u64, MetricsSnapshot) {
     let qos = QosConfig::paper_9_3_1().with_accesses(2); // S(2) = 14
     let t = qos.interval_ns;
     let limit = qos.request_limit();
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(workers)
-            .with_queue_depth(64)
-            .with_assignment(mode),
-    )
-    .expect("valid config");
+    let server =
+        QosServer::new(ServerConfig::new(qos).with_assignment(mode)).expect("valid config");
 
     let tenants = submitters.min(limit);
     let base = limit / tenants;
@@ -74,7 +69,7 @@ fn run_serve(mode: AssignmentMode, submitters: usize, workers: usize) -> (u64, M
 /// write, against a deliberately small FTL (64 pages/device, 12.5% OP)
 /// so garbage collection actually runs inside the bench and its
 /// program/erase interference shows up in the latency figures.
-fn run_mixed(mode: AssignmentMode, submitters: usize, workers: usize) -> (u64, MetricsSnapshot) {
+fn run_mixed(mode: AssignmentMode, submitters: usize) -> (u64, MetricsSnapshot) {
     let qos = QosConfig::paper_9_3_1().with_accesses(2);
     let t = qos.interval_ns;
     let limit = qos.request_limit();
@@ -86,8 +81,6 @@ fn run_mixed(mode: AssignmentMode, submitters: usize, workers: usize) -> (u64, M
     };
     let server = QosServer::new(
         ServerConfig::new(qos)
-            .with_workers(workers)
-            .with_queue_depth(64)
             .with_assignment(mode)
             .with_gc_model(GcConfig::new(geometry)),
     )
@@ -138,26 +131,23 @@ fn bench_server(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(per_run));
     group.bench_function("end_to_end/flow", |b| {
-        b.iter(|| black_box(run_serve(AssignmentMode::OptimalFlow, 4, 4)));
+        b.iter(|| black_box(run_serve(AssignmentMode::OptimalFlow, 4)));
     });
     group.bench_function("end_to_end/eft", |b| {
-        b.iter(|| black_box(run_serve(AssignmentMode::Eft, 4, 4)));
+        b.iter(|| black_box(run_serve(AssignmentMode::Eft, 4)));
     });
     group.bench_function("end_to_end/flow_1_submitter", |b| {
-        b.iter(|| black_box(run_serve(AssignmentMode::OptimalFlow, 1, 4)));
-    });
-    group.bench_function("end_to_end/flow_8_workers", |b| {
-        b.iter(|| black_box(run_serve(AssignmentMode::OptimalFlow, 4, 8)));
+        b.iter(|| black_box(run_serve(AssignmentMode::OptimalFlow, 1)));
     });
     group.bench_function("end_to_end/flow_mixed_rw", |b| {
-        b.iter(|| black_box(run_mixed(AssignmentMode::OptimalFlow, 4, 4)));
+        b.iter(|| black_box(run_mixed(AssignmentMode::OptimalFlow, 4)));
     });
     group.finish();
 
     // One instrumented run per mode for the simulated-latency figures the
     // timing loop above cannot see.
-    let (n_flow, flow) = run_serve(AssignmentMode::OptimalFlow, 4, 4);
-    let (n_eft, eft) = run_serve(AssignmentMode::Eft, 4, 4);
+    let (n_flow, flow) = run_serve(AssignmentMode::OptimalFlow, 4);
+    let (n_eft, eft) = run_serve(AssignmentMode::Eft, 4);
 
     let mut json = String::from("{\n  \"bench\": \"server\",\n");
     json.push_str(&format!(
@@ -186,7 +176,7 @@ fn bench_server(c: &mut Criterion) {
 
     // One instrumented mixed read/write run against the small FTL: the
     // write-path and garbage-collection figures CI tracks for trend.
-    let (n_mix, mix) = run_mixed(AssignmentMode::OptimalFlow, 4, 4);
+    let (n_mix, mix) = run_mixed(AssignmentMode::OptimalFlow, 4);
     let write_amp = if mix.gc_host_pages == 0 {
         1.0
     } else {

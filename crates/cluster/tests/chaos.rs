@@ -45,30 +45,6 @@ fn scratch_path(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// Wait (bounded, real time) for the worker threads to finish what was
-/// dispatched: device health samples are observed at completion, so a
-/// tick that must see them cannot run before the workers catch up. Soft —
-/// requests whose replicas are all scorer-condemned stay parked until a
-/// probe window readmits a device, so a small in-flight residue is
-/// legitimate during a fail-slow episode and everything still settles at
-/// `finish()`.
-fn drain(cluster: &QosCluster) {
-    let mut last = u64::MAX;
-    let mut stable = 0;
-    for _ in 0..5_000 {
-        let now = cluster.metrics().in_flight_total();
-        if now == 0 {
-            return;
-        }
-        stable = if now == last { stable + 1 } else { 0 };
-        if stable >= 50 {
-            return; // parked on the slow path, not worker lag
-        }
-        last = now;
-        std::thread::sleep(std::time::Duration::from_micros(100));
-    }
-}
-
 /// `arrays` paper arrays, rebalancing off (chaos dynamics only), two
 /// weight-1 tenants pinned per array: array `a` serves tenants
 /// `2a + 1` and `2a + 2`.
@@ -346,16 +322,25 @@ fn fail_slow_draws_a_slow_verdict_and_recovery() {
         .unwrap();
     let mut handle = cluster.handle();
     let mut saw_slow = false;
+    // Windows the admitted requests landed in (Delay pushes some later).
+    let mut parked: Vec<u64> = Vec::new();
     for w in 0..20u64 {
         // One bucket's worth of traffic so its replica devices sample
         // densely enough for the scorer to act within the run.
-        handle.submit(1, 0, w * BASE_T);
-        handle.submit(1, 0, w * BASE_T + 1_000);
-        handle.submit(2, 1, w * BASE_T);
-        // Seal window `w` and let its completions reach the scorer before
-        // the tick probes the verdict — sampling is asynchronous.
+        for (tenant, lbn, at) in [(1, 0, 0), (1, 0, 1_000), (2, 1, 0)] {
+            parked.extend(handle.submit(tenant, lbn, w * BASE_T + at).window());
+        }
+        // Seal window `w`: its requests are served, and their samples
+        // reach the scorer, before the call returns — so the tick below
+        // probes a verdict that has seen them, and everything in flight
+        // is parked in a window not yet sealed.
         handle.advance_all((w + 1) * BASE_T);
-        drain(&cluster);
+        parked.retain(|&window| window > w);
+        assert_eq!(
+            cluster.metrics().in_flight_total(),
+            parked.len() as u64,
+            "a sealed window left work unsettled"
+        );
         cluster.control_tick();
         saw_slow |= cluster.health()[0] == ArrayHealth::Slow;
     }

@@ -20,7 +20,6 @@ use crate::scheme::AllocationScheme;
 use fqos_maxflow::RetrievalNetwork;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// How request sets are drawn for the `P_k` estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +58,7 @@ impl OptimalRetrievalProbabilities {
 /// Estimate `P_k` for `k = 1..=k_max` with `trials` samples each, using the
 /// paper's with-replacement sampling. See [`optimal_retrieval_probabilities_with`]
 /// to choose the sampling mode.
-pub fn optimal_retrieval_probabilities<S: AllocationScheme + Sync + ?Sized>(
+pub fn optimal_retrieval_probabilities<S: AllocationScheme + ?Sized>(
     scheme: &S,
     k_max: usize,
     trials: usize,
@@ -71,7 +70,7 @@ pub fn optimal_retrieval_probabilities<S: AllocationScheme + Sync + ?Sized>(
 /// Estimate `P_k` under an explicit sampling mode. Request sizes are
 /// embarrassingly parallel; each `k` gets its own deterministic RNG stream
 /// so results are reproducible regardless of thread scheduling.
-pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>(
+pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + ?Sized>(
     scheme: &S,
     k_max: usize,
     trials: usize,
@@ -88,7 +87,6 @@ pub fn optimal_retrieval_probabilities_with<S: AllocationScheme + Sync + ?Sized>
     let net = RetrievalNetwork::new(scheme.devices());
     let n = scheme.num_buckets();
     let p: Vec<f64> = (1..=k_max)
-        .into_par_iter()
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let mut optimal = 0usize;
@@ -196,5 +194,25 @@ mod tests {
         let a = optimal_retrieval_probabilities(&scheme, 6, 500, 5);
         let b = optimal_retrieval_probabilities(&scheme, 6, 500, 5);
         assert_eq!(a.p, b.p);
+    }
+
+    #[test]
+    fn table_is_pinned_per_k() {
+        // Each k draws from its own seeded stream, so P_k is the same
+        // count / trials whatever the table size or evaluation order.
+        let scheme = DesignTheoretic::paper_9_3_1();
+        let probs = optimal_retrieval_probabilities(&scheme, 10, 400, 7);
+        let counts = [
+            400.0, 400.0, 400.0, 399.0, 400.0, 398.0, 394.0, 375.0, 289.0, 400.0,
+        ];
+        for (k, &count) in (1..=10).zip(&counts) {
+            assert_eq!(
+                probs.p_k(k).to_bits(),
+                (count / 400.0f64).to_bits(),
+                "P_{k}"
+            );
+        }
+        let short = optimal_retrieval_probabilities(&scheme, 7, 400, 7);
+        assert_eq!(short.p[..], probs.p[..7]);
     }
 }

@@ -127,13 +127,6 @@ impl CalibratedSsd {
         self.degrade
     }
 
-    /// Raise the busy frontier to at least `t` (no-op when already past).
-    /// Lets an owner account for service reserved on this device by an
-    /// external scheduler — e.g. a hedged read issued by another worker.
-    pub fn advance_busy(&mut self, t: SimTime) {
-        self.busy_until = self.busy_until.max(t);
-    }
-
     /// Cancel an in-flight request, releasing its reserved service time —
     /// only possible while it is still the last submission (nothing queued
     /// behind it). Returns `true` if the reservation was reclaimed.
@@ -229,8 +222,7 @@ impl Device for CalibratedSsd {
         };
         let service_start = self.busy_until.max(now);
         // One busy-frontier reservation covers calibrated service and GC
-        // stall together — callers that mirror the frontier (advance_busy)
-        // see a single extended occupancy, not a second charge.
+        // stall together: a single extended occupancy, not a second charge.
         let finish = service_start + self.service_time(req) + gc_ns;
         self.busy_until = finish;
         Completion {
@@ -442,7 +434,6 @@ mod tests {
                 "GC stall must not be scaled by the degradation factor"
             );
             now = healthy.next_free(now);
-            degraded.advance_busy(now); // keep frontiers comparable
         }
     }
 
@@ -456,16 +447,5 @@ mod tests {
         d.reset();
         assert_eq!(d.gc_stats(), GcStats::default());
         assert_eq!(d.next_free(0), 0);
-    }
-
-    #[test]
-    fn advance_busy_reserves_external_service() {
-        let mut d = CalibratedSsd::new();
-        d.advance_busy(500);
-        let c = d.submit(&IoRequest::read_block(1, 0, 0, 0), 0);
-        assert_eq!(c.service_start, 500);
-        // Never moves the frontier backwards.
-        d.advance_busy(0);
-        assert_eq!(d.next_free(0), c.finish);
     }
 }

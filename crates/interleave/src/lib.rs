@@ -3,10 +3,9 @@
 //! Concurrency bugs live in thread interleavings that stress tests sample
 //! with vanishing probability. This crate explores them systematically:
 //! wrap a concurrent scenario in [`model`] and build it from the
-//! instrumented primitives in [`sync`], [`channel`] and [`thread`] — the
-//! same signatures as the repo's `parking_lot`/`crossbeam` shims and
-//! `std::thread`, so production code runs unmodified behind an import
-//! swap. The runner executes the closure once per distinct thread
+//! instrumented primitives in [`sync`] and [`thread`] — the same
+//! signatures as the repo's `parking_lot` shim and `std::thread`, so
+//! production code runs unmodified behind an import swap. The runner executes the closure once per distinct thread
 //! schedule, enumerating schedules by DFS with a preemption bound and
 //! replaying each deterministically; any panic, failed assertion, or
 //! deadlock is reported with the schedule trace that produced it.
@@ -41,7 +40,6 @@
 
 mod rt;
 
-pub mod channel;
 pub mod sync;
 pub mod thread;
 
@@ -53,7 +51,7 @@ mod tests {
 
     use crate::sync::atomic::{AtomicU64, Ordering};
     use crate::sync::{Arc, Mutex};
-    use crate::{channel, model, model_with, thread, Config};
+    use crate::{model, model_with, thread, Config};
 
     fn failure_message(f: impl Fn() + Send + Sync + 'static) -> String {
         let err = catch_unwind(AssertUnwindSafe(|| model(f)))
@@ -156,36 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_backpressure_and_disconnect() {
-        // A capacity-1 channel forces the producer to block mid-stream;
-        // dropping the producer must surface as disconnect, in order, on
-        // every schedule.
-        let report = model(|| {
-            let (tx, rx) = channel::bounded(2);
-            let producer = thread::spawn(move || {
-                tx.send(0u32).unwrap();
-                tx.send(1u32).unwrap();
-                tx.send(2u32).unwrap();
-            });
-            let got: Vec<u32> = rx.iter().collect();
-            assert_eq!(got, vec![0, 1, 2]);
-            producer.join().unwrap();
-        });
-        assert!(report.exhausted);
-        assert!(report.schedules > 1);
-    }
-
-    #[test]
-    fn send_to_dropped_receiver_errors() {
-        let report = model(|| {
-            let (tx, rx) = channel::bounded(1);
-            drop(rx);
-            assert!(tx.send(7u32).is_err());
-        });
-        assert!(report.exhausted);
-    }
-
-    #[test]
     fn schedule_cap_is_respected() {
         let report = model_with(
             Config {
@@ -219,22 +187,15 @@ mod tests {
         // No model context here: everything must behave like the plain
         // blocking shims.
         let m = Arc::new(Mutex::new(0u64));
-        let (tx, rx) = channel::bounded(2);
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let m = Arc::clone(&m);
-                let tx = tx.clone();
                 thread::spawn(move || {
                     *m.lock() += 1;
-                    tx.send(i).unwrap();
                     i
                 })
             })
             .collect();
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
         let mut ids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);

@@ -4,8 +4,8 @@
 //! # How an execution runs
 //!
 //! Model threads are real OS threads, but at most one is ever logically
-//! running: every instrumented operation (lock, atomic access, channel
-//! send/recv, join) first calls [`Rt::yield_point`], which hands the baton
+//! running: every instrumented operation (lock, atomic access, join)
+//! first calls [`Rt::yield_point`], which hands the baton
 //! to the scheduler. The scheduler computes the set of *runnable* threads
 //! (not finished, blocking condition satisfied), consults the explorer for
 //! which one continues, and grants it the baton. Because threads only
@@ -48,30 +48,17 @@ pub(crate) enum Condition {
     MutexFree(usize),
     RwRead(usize),
     RwWrite(usize),
-    ChanSend(usize),
-    ChanRecv(usize),
     Join(usize),
 }
 
 /// Scheduler-visible mirror of one synchronization object's state. The
-/// objects themselves (queues, guarded data) live outside the runtime; the
+/// objects themselves (the guarded data) live outside the runtime; the
 /// mirror exists so blocking conditions can be evaluated without touching
 /// user types.
 #[derive(Debug)]
 pub(crate) enum Resource {
-    Mutex {
-        held: bool,
-    },
-    RwLock {
-        readers: usize,
-        writer: bool,
-    },
-    Channel {
-        len: usize,
-        cap: usize,
-        senders: usize,
-        receivers: usize,
-    },
+    Mutex { held: bool },
+    RwLock { readers: usize, writer: bool },
 }
 
 struct ThreadCell {
@@ -176,19 +163,6 @@ impl Inner {
                 Resource::RwLock { readers, writer } => !writer && *readers == 0,
                 other => unreachable!("rwlock condition on {other:?}"),
             },
-            Condition::ChanSend(r) => match &self.resources[r] {
-                Resource::Channel {
-                    len,
-                    cap,
-                    receivers,
-                    ..
-                } => len < cap || *receivers == 0,
-                other => unreachable!("channel condition on {other:?}"),
-            },
-            Condition::ChanRecv(r) => match &self.resources[r] {
-                Resource::Channel { len, senders, .. } => *len > 0 || *senders == 0,
-                other => unreachable!("channel condition on {other:?}"),
-            },
             Condition::Join(t) => self.threads[t].finished,
         }
     }
@@ -278,7 +252,7 @@ impl Rt {
     }
 
     /// Mutate a resource mirror without yielding (release-style updates:
-    /// unlocks, channel pushes/pops, endpoint drops). These only ever
+    /// unlocks). These only ever
     /// *unblock* other threads; the next scheduling point picks them up.
     pub(crate) fn update_resource(&self, id: usize, f: impl FnOnce(&mut Resource)) {
         let mut st = self.lock();

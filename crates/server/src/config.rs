@@ -117,12 +117,6 @@ pub const WINDOW_RING: usize = 1024;
 pub struct ServerConfig {
     /// The underlying QoS deployment (scheme, `M`, interval, ε, policy).
     pub qos: QosConfig,
-    /// Worker threads driving device service loops. Devices are owned
-    /// `device % workers`, so at most `devices()` workers are useful.
-    pub workers: usize,
-    /// Bound of each worker's request queue; submitters block once the
-    /// backlog from sealed windows reaches this depth (backpressure).
-    pub queue_depth: usize,
     /// Tenant-registry shard count (lock striping for the hot lookup path).
     pub shards: usize,
     /// Replica assignment algorithm.
@@ -138,7 +132,7 @@ pub struct ServerConfig {
     /// few windows; production configs should leave it alone.
     pub ring_slots: usize,
     /// Master switch for the fail-slow reaction path: hedged reads, the
-    /// worker backoff retry chain and the seal-time slow-device drain.
+    /// backoff retry chain and the seal-time slow-device drain.
     /// Detection (the health scorer) always runs; with hedging off the
     /// engine only steers *new* schedules away from detected-slow devices
     /// and otherwise serves as PR 2 did — the configuration used to
@@ -183,13 +177,10 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults around a [`QosConfig`]: 4 workers, depth-64 queues,
-    /// 8 registry shards, optimal-flow assignment, 64-window delay horizon.
+    /// Defaults around a [`QosConfig`]: 8 registry shards, optimal-flow assignment, 64-window delay horizon.
     pub fn new(qos: QosConfig) -> Self {
         ServerConfig {
             qos,
-            workers: 4,
-            queue_depth: 64,
             shards: 8,
             assignment: AssignmentMode::default(),
             delay_horizon: 64,
@@ -211,15 +202,11 @@ impl ServerConfig {
         }
     }
 
-    /// Set the worker-thread count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Set the per-worker queue bound.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
+    /// Does nothing and returns the configuration unchanged. The engine
+    /// has no worker threads: the thread that seals a window serves it.
+    /// Kept only so existing callers compile.
+    #[deprecated(note = "no-op: the engine serves sealed windows on the sealing thread")]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -369,12 +356,6 @@ impl ServerConfig {
     /// Validate the composite configuration.
     pub fn validate(&self) -> Result<(), String> {
         self.qos.validate()?;
-        if self.workers == 0 {
-            return Err("at least one worker thread is required".into());
-        }
-        if self.queue_depth == 0 {
-            return Err("queue_depth must be positive".into());
-        }
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }
@@ -464,44 +445,24 @@ mod tests {
     #[test]
     fn builders_and_bounds() {
         let cfg = ServerConfig::new(QosConfig::paper_9_3_1())
-            .with_workers(8)
-            .with_queue_depth(16)
             .with_assignment(AssignmentMode::Eft)
             .with_delay_horizon(4);
-        assert_eq!(cfg.workers, 8);
-        assert_eq!(cfg.queue_depth, 16);
         assert_eq!(cfg.assignment, AssignmentMode::Eft);
         cfg.validate().unwrap();
 
         assert!(ServerConfig::new(QosConfig::paper_9_3_1())
-            .with_workers(0)
-            .validate()
-            .is_err());
-        assert!(ServerConfig::new(QosConfig::paper_9_3_1())
             .with_delay_horizon(WINDOW_RING as u64)
             .validate()
             .is_err());
-        let mut bad = ServerConfig::new(QosConfig::paper_9_3_1());
-        bad.queue_depth = 0;
-        assert!(bad.validate().is_err());
     }
 
     #[test]
-    fn validate_rejects_zero_workers() {
-        let err = ServerConfig::new(QosConfig::paper_9_3_1())
-            .with_workers(0)
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("worker"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_zero_queue_depth() {
-        let err = ServerConfig::new(QosConfig::paper_9_3_1())
-            .with_queue_depth(0)
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("queue_depth"), "{err}");
+    #[allow(deprecated)]
+    fn with_workers_is_a_no_op() {
+        let base = ServerConfig::new(QosConfig::paper_9_3_1());
+        let cfg = base.clone().with_workers(0);
+        assert_eq!(format!("{cfg:?}"), format!("{base:?}"));
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The concurrent serving engine: submitter handles, the watermark sealing
-//! protocol, the dispatcher and the worker pool.
+//! protocol and inline dispatch onto the device models.
 //!
 //! # Execution model
 //!
@@ -15,9 +15,10 @@
 //! 1. Window admission ([`crate::window::WindowRing`]) never lets a
 //!    window's guaranteed set need more than `M` accesses on any device.
 //! 2. Config validation enforces `M · service ≤ T`.
-//! 3. Windows are sealed and dispatched **in order** by a single logical
-//!    dispatcher (a mutex), and each device belongs to exactly one worker
-//!    (`device % workers`), so per-device service is FCFS in window order.
+//! 3. Windows are sealed **in order** by a single logical dispatcher (the
+//!    `engine.dispatch` mutex), and the sealing thread serves every item
+//!    of a window on the device models that mutex guards before it seals
+//!    the next, so per-device service is FCFS in window order.
 //! 4. A device therefore serves at most `M` guaranteed requests between
 //!    `(t+1)·T` and `(t+1)·T + M·service ≤ (t+2)·T`.
 //!
@@ -44,8 +45,6 @@ use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, TenantSnapshot};
 use crate::registry::{RegisterError, Tenant, TenantRegistry};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::channel::{bounded, Receiver, Sender};
-use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Mutex, RwLock};
 use crate::wal::{crash_point, SettleKind, Wal, WalState};
 use crate::window::{AdmitResult, WindowRing};
@@ -53,6 +52,7 @@ use fqos_core::{OverloadPolicy, StatisticalCounters};
 use fqos_decluster::sampling::{optimal_retrieval_probabilities, OptimalRetrievalProbabilities};
 use fqos_decluster::AllocationScheme;
 use fqos_flashsim::{CalibratedSsd, Completion, Device, IoOp, IoRequest};
+use std::collections::HashMap;
 
 /// Outcome of one [`SubmitterHandle::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,9 +127,65 @@ struct HandleShared {
     closed: AtomicBool,
 }
 
+/// Everything the single logical dispatcher owns (lock class
+/// `engine.dispatch`): the seal cursor and the device models it serves
+/// sealed windows on.
 struct DispatchState {
-    /// All windows `< sealed_through` are sealed and dispatched.
+    /// All windows `< sealed_through` are sealed and served.
     sealed_through: u64,
+    devices: Devices,
+}
+
+/// The per-device service models and the speculative frontiers hedges
+/// ride on. One owner (the dispatcher) holds all of them, so each device's
+/// own busy frontier *is* its primary frontier.
+///
+/// Two frontiers per device, deliberately:
+/// * the primary (guaranteed-path) frontier, `ssd[d]`'s own busy time.
+///   Advanced only by primary dispatches in window order. Hedges read it
+///   but never advance it: speculative reads ride the device's spare
+///   bandwidth and must not delay reserved capacity — otherwise a hedge
+///   could push a later window's primaries past their deadlines and
+///   break the paper's guarantee from the side.
+/// * `spec[d]` — the speculative frontier. Hedges serialize against each
+///   other (and start no earlier than the primary work the device has
+///   accepted so far); losers roll back off it.
+struct Devices {
+    ssd: Vec<CalibratedSsd>,
+    spec: Vec<u64>,
+}
+
+impl Devices {
+    /// One [`CalibratedSsd`] per device. With a GC model attached, writes
+    /// run at their configured program latency through a per-device
+    /// page-mapped FTL whose relocation work stalls the device in-line
+    /// (see `fqos_flashsim::CalibratedSsd`).
+    fn new(cfg: &ServerConfig) -> Self {
+        let devices = cfg.qos.devices();
+        let service = cfg.qos.service_ns;
+        let write_service = cfg
+            .gc
+            .as_ref()
+            .and_then(|g| g.write_service_ns)
+            .unwrap_or(service);
+        let ssd = (0..devices)
+            .map(|_| {
+                let ssd = CalibratedSsd::with_latencies(service, write_service);
+                match &cfg.gc {
+                    // Geometry was validated with the server config; should
+                    // a mismatch slip through anyway, serve without the GC
+                    // model (writes then run at plain program cost —
+                    // degraded fidelity, never lost requests).
+                    Some(g) => ssd.clone().with_gc(g.geometry, g.erase_ns).unwrap_or(ssd),
+                    None => ssd,
+                }
+            })
+            .collect();
+        Devices {
+            ssd,
+            spec: vec![0; devices],
+        }
+    }
 }
 
 /// Statistical admission state (`ε > 0` only).
@@ -160,8 +216,8 @@ struct GlobalStats {
     write_settled: AtomicU64,
     /// Logical writes that lost ≥ 1 copy past the retry budget.
     write_lost: AtomicU64,
-    // Array-wide GC counters, aggregated from the workers' devices as
-    // writes complete (each worker owns its devices, so per-request deltas
+    // Array-wide GC counters, aggregated from the device models as writes
+    // complete (the dispatcher owns every device, so per-request deltas
     // never race).
     gc_host_pages: AtomicU64,
     gc_pages: AtomicU64,
@@ -176,22 +232,22 @@ struct GlobalStats {
     replay_truncated: AtomicU64,
 }
 
-/// Shared settlement state of one logical write's replica fan-out. Every
-/// copy's [`WorkItem`] holds the same `Arc`; the worker that lands the
-/// *last* copy (remaining hits zero) settles the logical write exactly
-/// once — as `write_settled` if every copy landed, `write_lost` if any
-/// copy died on a fail-stopped replica past the retry budget.
+/// Settlement state of one logical write's replica fan-out within a
+/// sealed window. The copy that lands *last* (remaining hits zero) settles
+/// the logical write exactly once — as `write_settled` if every copy
+/// landed, `write_lost` if any copy died on a fail-stopped replica past
+/// the retry budget.
 struct WriteSink {
     /// Copies still outstanding.
-    remaining: AtomicU64,
+    remaining: u32,
     /// Sticky: some copy was lost (all-must-settle failed).
-    lost: AtomicBool,
+    lost: bool,
     /// Latest copy finish time, for the deadline audit of the settling
     /// copy (a write is only as done as its slowest replica).
-    latest_finish: AtomicU64,
+    latest_finish: u64,
 }
 
-/// One dispatched request on its way to a worker.
+/// One sealed request on its way to its device model.
 struct WorkItem {
     req: IoRequest,
     /// Live tenant record at seal time (None if deregistered meanwhile).
@@ -207,36 +263,6 @@ struct WorkItem {
     /// Replica bitmap of the block; the bits other than `req.device` are
     /// the hedge candidates.
     replica_mask: u64,
-    /// Write fan-out: settlement sink shared by all replica copies of the
-    /// logical write. `None` for reads.
-    write: Option<Arc<WriteSink>>,
-}
-
-enum WorkMsg {
-    Item(Box<WorkItem>),
-    Stop,
-}
-
-/// The shared per-device busy frontiers workers hedge across. Worker `w`
-/// owns device `d`'s FCFS schedule, but a hedged read lands on a replica
-/// owned by *another* worker, so placement needs one timeline authority.
-///
-/// Two frontiers per device, deliberately:
-/// * `busy[d]` — the *primary* (guaranteed-path) frontier. Written only by
-///   `d`'s owning worker, in window order. Hedges read it but never
-///   advance it: speculative reads ride the device's spare bandwidth and
-///   must not delay reserved capacity — otherwise a fast worker's hedge
-///   could push a lagging worker's earlier-window primaries past their
-///   deadlines and break the paper's guarantee from the side.
-/// * `spec[d]` — the speculative frontier. Hedges serialize against each
-///   other (and start no earlier than the primary work the device has
-///   accepted so far); losers roll back off it.
-///
-/// Leaf lock (class `engine.hedge`): nothing else is ever acquired while
-/// it is held.
-struct HedgeState {
-    busy: Vec<u64>,
-    spec: Vec<u64>,
 }
 
 struct Engine {
@@ -250,9 +276,6 @@ struct Engine {
     /// Highest window any request was admitted into.
     max_target: AtomicU64,
     handles: Mutex<Vec<Arc<HandleShared>>>,
-    txs: Vec<Sender<WorkMsg>>,
-    /// Cross-worker device busy frontier for hedged reads.
-    hedge: Mutex<HedgeState>,
     stat: Option<StatState>,
     stats: GlobalStats,
     hist: LatencyHistogram,
@@ -289,11 +312,10 @@ struct Engine {
 /// ```
 pub struct QosServer {
     engine: Arc<Engine>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl QosServer {
-    /// Build the engine and spawn its worker pool. With
+    /// Build the engine. With
     /// [`ServerConfig::wal`] set this starts a **fresh** log epoch
     /// (discarding any previous log in the directory); use
     /// [`QosServer::recover`] to continue one.
@@ -351,7 +373,6 @@ impl QosServer {
     fn build(cfg: ServerConfig, wal: Option<Arc<Wal>>) -> Result<Self, String> {
         let limit = cfg.qos.request_limit();
         let devices = cfg.qos.devices();
-        let workers = cfg.workers.min(devices);
         let stat = (cfg.qos.epsilon > 0.0).then(|| {
             // One-time table build; 1500 trials puts the P_k sampling error
             // well under typical ε resolution.
@@ -367,9 +388,6 @@ impl QosServer {
                 k_max,
             }
         });
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| bounded::<WorkMsg>(cfg.queue_depth))
-            .unzip();
         let fault = Arc::new(FaultPlane::with_health(
             devices,
             cfg.fault_schedule.clone(),
@@ -386,15 +404,13 @@ impl QosServer {
                 cfg.hedge_enabled,
             ),
             fault,
-            dispatch: Mutex::new(DispatchState { sealed_through: 0 }),
+            dispatch: Mutex::new(DispatchState {
+                sealed_through: 0,
+                devices: Devices::new(&cfg),
+            }),
             sealed_floor: AtomicU64::new(0),
             max_target: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
-            txs,
-            hedge: Mutex::new(HedgeState {
-                busy: vec![0; devices],
-                spec: vec![0; devices],
-            }),
             stat,
             stats: GlobalStats::default(),
             hist: LatencyHistogram::new(),
@@ -404,21 +420,7 @@ impl QosServer {
             wal,
             cfg,
         });
-        let threads = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(w, rx)| {
-                let engine = Arc::clone(&engine);
-                crate::sync::thread::Builder::new()
-                    .name(format!("fqos-worker-{w}"))
-                    .spawn(move || worker_loop(w, workers, rx, engine))
-                    .map_err(|e| format!("spawning worker {w}: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(QosServer {
-            engine,
-            workers: threads,
-        })
+        Ok(QosServer { engine })
     }
 
     /// The configuration the server runs with.
@@ -527,23 +529,17 @@ impl QosServer {
         self.engine.snapshot()
     }
 
-    /// Seal all remaining windows, drain the workers and return the final
-    /// metrics. Outstanding handles are force-closed; submitter threads
-    /// must be done with them before this is called.
+    /// Seal and serve all remaining windows and return the final metrics.
+    /// Outstanding handles are force-closed; submitter threads must be done
+    /// with them before this is called.
     pub fn finish(self) -> MetricsSnapshot {
         for h in self.engine.handles.lock().iter() {
             h.closed.store(true, Ordering::Release);
         }
         self.engine.pump();
         self.engine.shutdown.store(true, Ordering::Release);
-        for tx in &self.engine.txs {
-            let _ = tx.send(WorkMsg::Stop);
-        }
-        for t in self.workers {
-            let _ = t.join();
-        }
-        // Settlement records from the drained workers may still sit in the
-        // fsync batch buffer; a clean shutdown leaves nothing undurable.
+        // Settlement records of the last seals may still sit in the fsync
+        // batch buffer; a clean shutdown leaves nothing undurable.
         if let Some(wal) = &self.engine.wal {
             wal.sync_now();
         }
@@ -551,10 +547,10 @@ impl QosServer {
     }
 
     /// Fail-stop the array **without** draining: no final pump, so open
-    /// windows never seal and their admissions never settle. Workers are
-    /// stopped and joined (items already dispatched to their queues still
-    /// complete — they left the admission plane before the failure), then
-    /// the counters are frozen into the returned snapshot. The residue
+    /// windows never seal and their admissions never settle (windows
+    /// already sealed were served when they sealed — they left the
+    /// admission plane before the failure). The counters are frozen into
+    /// the returned snapshot. The residue
     /// `admitted_total − served − fault_lost − hedges_cancelled` is the
     /// work the failure stranded; the cluster tier charges it to
     /// `evacuation_lost`. The WAL (if any) is flushed and kept on disk so
@@ -564,16 +560,8 @@ impl QosServer {
     pub fn halt(self) -> MetricsSnapshot {
         self.engine.shutdown.store(true, Ordering::Release);
         // Wait out submissions that passed the shutdown check before the
-        // store: the workers are still draining their queues here, so an
-        // in-flight submit blocked on dispatch backpressure completes
-        // rather than deadlocking against us.
+        // store, so an ack that raced the kill lands in the snapshot.
         drop(self.engine.quiesce.write());
-        for tx in &self.engine.txs {
-            let _ = tx.send(WorkMsg::Stop);
-        }
-        for t in self.workers {
-            let _ = t.join();
-        }
         if let Some(wal) = &self.engine.wal {
             wal.sync_now();
         }
@@ -609,26 +597,28 @@ impl Engine {
         }
     }
 
-    /// Seal and dispatch every window that can no longer receive requests.
+    /// Seal every window that can no longer receive requests and serve its
+    /// items on the device models, all on this thread under the dispatch
+    /// lock.
     fn pump(&self) {
         // Optimistic skip without the dispatch lock (can only under-seal,
         // never over-seal — a later pump catches up).
         if self.seal_target() <= self.sealed_floor.load(Ordering::Acquire) {
             return;
         }
-        let mut ds = self.dispatch.lock();
+        let mut guard = self.dispatch.lock();
+        let ds = &mut *guard;
         let target = self.seal_target();
         let t_ns = self.cfg.qos.interval_ns;
-        let workers = self.txs.len();
         while ds.sealed_through < target {
             let w = ds.sealed_through;
             let sealed = self.ring.seal(w);
             self.stats.windows_sealed.fetch_add(1, Ordering::Relaxed);
             if let Some(wal) = &self.wal {
                 // The seal record is force-synced BEFORE any of the
-                // window's items are dispatched: after a crash, every
-                // durable admission of a sealed window whose settle record
-                // is missing is deterministically crash-lost.
+                // window's items are served: after a crash, every durable
+                // admission of a sealed window whose settle record is
+                // missing is deterministically crash-lost.
                 wal.log_seal(w);
                 for &t in &sealed.lost {
                     wal.log_settle(w, t, SettleKind::Lost);
@@ -654,31 +644,23 @@ impl Engine {
                 self.stats
                     .max_window_total
                     .fetch_max(sealed.total, Ordering::Relaxed);
-                let exec_start = (w + 1) * t_ns;
-                let deadline = (w + 2) * t_ns;
+                // The window executes in the next interval.
+                let exec_window = w + 1;
+                let exec_start = exec_window * t_ns;
+                let deadline = exec_start + t_ns;
                 let stopping = self.shutdown.load(Ordering::Acquire);
                 // One settlement sink per logical write in this window,
                 // shared by its replica copies (group ids are
                 // window-local).
-                let mut sinks: std::collections::HashMap<u32, Arc<WriteSink>> =
-                    std::collections::HashMap::new();
+                let mut sinks: HashMap<u32, WriteSink> = HashMap::new();
                 for item in sealed.items {
                     if stopping {
-                        continue; // workers are gone; drop on the floor
+                        continue; // halted: nothing serves; drop on the floor
                     }
-                    let write = item.write_group.map(|(group, fanout)| {
-                        Arc::clone(sinks.entry(group).or_insert_with(|| {
-                            Arc::new(WriteSink {
-                                remaining: AtomicU64::new(u64::from(fanout)),
-                                lost: AtomicBool::new(false),
-                                latest_finish: AtomicU64::new(0),
-                            })
-                        }))
-                    });
                     // `lookup_any`: a tenant that deregistered after this
                     // request was admitted (migration drain) must still
                     // settle against its counters, not vanish from them.
-                    let msg = WorkMsg::Item(Box::new(WorkItem {
+                    let work = WorkItem {
                         tenant: self.registry.lookup_any(item.tenant),
                         tenant_id: item.tenant,
                         req: item.req,
@@ -686,11 +668,19 @@ impl Engine {
                         deadline,
                         guaranteed: item.guaranteed,
                         replica_mask: item.replica_mask,
-                        write,
-                    }));
-                    // Blocking send = backpressure: submitters stall here
-                    // once a worker's backlog hits queue_depth.
-                    let _ = self.txs[item.req.device % workers].send(msg);
+                    };
+                    match item.write_group {
+                        Some((group, fanout)) => {
+                            let sink = sinks.entry(group).or_insert(WriteSink {
+                                remaining: fanout,
+                                lost: false,
+                                latest_finish: 0,
+                            });
+                            let dev = &mut ds.devices.ssd[work.req.device];
+                            serve_write_copy(self, dev, &work, sink, exec_window);
+                        }
+                        None => serve_read(self, &mut ds.devices, &work, exec_window),
+                    }
                 }
             }
             // Probe tick: a condemned device that no longer receives work
@@ -984,6 +974,19 @@ impl SubmitterHandle {
             OverloadPolicy::Delay => engine.cfg.delay_horizon,
             OverloadPolicy::Reject => 0,
         };
+        // Clock drift: admitting into a window `ring_slots` or more past
+        // the sealed floor would reuse the slot of a window that is still
+        // open. Pump and wait for the slower handles to let the seal catch
+        // up; `halt` sets `shutdown` before it waits on the quiesce gate
+        // this call holds, so re-checking it here cannot deadlock.
+        let ring = engine.cfg.ring_slots as u64;
+        while window + horizon >= engine.sealed_floor.load(Ordering::Acquire) + ring {
+            if engine.shutdown.load(Ordering::Acquire) {
+                return SubmitOutcome::Rejected(RejectReason::ServerStopping);
+            }
+            engine.pump();
+            std::thread::yield_now();
+        }
         let mut admitted_at = None;
         let mut any_full = false;
         for k in 0..=horizon {
@@ -1177,91 +1180,33 @@ impl Drop for SubmitterHandle {
     }
 }
 
-/// Worker `w` owns every device `d` with `d % workers == w` (local slot
-/// `d / workers`) and serves dispatched items FCFS — which is window order,
-/// because the dispatcher is serialized.
+/// Serve one sealed read on its assigned device, FCFS behind everything
+/// sealed before it.
 ///
 /// # Hedged reads (fail-slow tolerance)
 ///
-/// Each dispatch first runs on its assigned device against the shared busy
-/// frontier. If the projected completion crosses the device's adaptive
-/// hedge threshold — or misses the interval deadline outright — the worker
-/// speculatively re-issues the read on alternate replicas (earliest
-/// estimated finish first), bounded by `retry_limit` attempts spaced
+/// If the projected completion crosses the device's adaptive hedge
+/// threshold — or misses the interval deadline outright — the read is
+/// speculatively re-issued on alternate replicas (earliest estimated
+/// finish first), bounded by `retry_limit` attempts spaced
 /// `retry_backoff_ns` apart. First completion wins: losing attempts are
-/// rolled back off the frontier and a winning hedge cancels the primary's
-/// reservation, so speculative capacity is reclaimed exactly.
-#[allow(clippy::needless_pass_by_value)] // thread entry: owns its receiver + engine handle
-fn worker_loop(worker: usize, workers: usize, rx: Receiver<WorkMsg>, engine: Arc<Engine>) {
-    let devices = engine.cfg.qos.devices();
-    let service = engine.cfg.qos.service_ns;
-    let t_ns = engine.cfg.qos.interval_ns;
-    let n_local = (devices + workers - 1 - worker) / workers;
-    // With a GC model attached, writes run at their configured program
-    // latency through a per-device page-mapped FTL whose relocation work
-    // stalls the device in-line (see `fqos_flashsim::CalibratedSsd`).
-    let write_service = engine
-        .cfg
-        .gc
-        .as_ref()
-        .and_then(|g| g.write_service_ns)
-        .unwrap_or(service);
-    let mut devs: Vec<CalibratedSsd> = (0..n_local)
-        .map(|_| {
-            let ssd = CalibratedSsd::with_latencies(service, write_service);
-            match &engine.cfg.gc {
-                // Geometry was validated with the server config; should a
-                // mismatch slip through anyway, serve without the GC model
-                // rather than kill the worker (writes then run at plain
-                // program cost — degraded fidelity, never lost requests).
-                Some(g) => match CalibratedSsd::with_latencies(service, write_service)
-                    .with_gc(g.geometry, g.erase_ns)
-                {
-                    Ok(s) => s,
-                    Err(_) => ssd,
-                },
-                None => ssd,
-            }
-        })
-        .collect();
-    while let Ok(WorkMsg::Item(item)) = rx.recv() {
-        let d = item.req.device;
-        // `exec_start` is `(t+1)·T`, so the wall-clock window the item
-        // executes in is `exec_start / T`.
-        let exec_window = item.exec_start / t_ns;
-        if let Some(sink) = item.write.clone() {
-            serve_write_copy(&engine, &mut devs[d / workers], &item, &sink, exec_window);
-            continue;
-        }
-        // Every fault-plane lookup happens BEFORE the hedge lock:
-        // `fault.inner` and `fault.health` are peers of `engine.hedge` in
-        // the lock hierarchy, never nested inside it.
-        let factor = engine.fault.slow_factor_at(d, exec_window);
-        let threshold = engine.fault.hedge_threshold(d);
-        let completion = {
-            let mut hs = engine.hedge.lock();
-            devs[d / workers].set_degradation(factor);
-            devs[d / workers].advance_busy(hs.busy[d]);
-            let c = devs[d / workers].submit(&item.req, item.exec_start);
-            hs.busy[d] = c.finish;
-            c
-        };
-        // The scorer samples the *service* component only: queueing delay
-        // is the scheduler's doing, not evidence about device health. The
-        // threshold above was read first so an outlier cannot vouch for
-        // itself.
-        engine
-            .fault
-            .observe(d, completion.finish - completion.service_start, exec_window);
-        hedge_and_settle(
-            &engine,
-            &mut devs[d / workers],
-            &item,
-            exec_window,
-            threshold,
-            completion,
-        );
-    }
+/// rolled back off the speculative frontier and a winning hedge cancels
+/// the primary's reservation, so speculative capacity is reclaimed exactly.
+fn serve_read(engine: &Engine, devs: &mut Devices, item: &WorkItem, exec_window: u64) {
+    let d = item.req.device;
+    let factor = engine.fault.slow_factor_at(d, exec_window);
+    let threshold = engine.fault.hedge_threshold(d);
+    let dev = &mut devs.ssd[d];
+    dev.set_degradation(factor);
+    let completion = dev.submit(&item.req, item.exec_start);
+    // The scorer samples the *service* component only: queueing delay is
+    // the scheduler's doing, not evidence about device health. The
+    // threshold above was read first so an outlier cannot vouch for
+    // itself.
+    engine
+        .fault
+        .observe(d, completion.finish - completion.service_start, exec_window);
+    hedge_and_settle(engine, devs, item, exec_window, threshold, completion);
 }
 
 /// Serve one replica copy of a fan-out write on its assigned device, then
@@ -1281,7 +1226,7 @@ fn serve_write_copy(
     engine: &Engine,
     dev: &mut CalibratedSsd,
     item: &WorkItem,
-    sink: &WriteSink,
+    sink: &mut WriteSink,
     exec_window: u64,
 ) {
     let d = item.req.device;
@@ -1302,16 +1247,10 @@ fn serve_write_copy(
         }
         let factor = engine.fault.slow_factor_at(d, issue_window);
         let before = dev.gc_stats();
-        let completion = {
-            let mut hs = engine.hedge.lock();
-            dev.set_degradation(factor);
-            dev.advance_busy(hs.busy[d]);
-            let c = dev.submit(&item.req, issue);
-            hs.busy[d] = c.finish;
-            c
-        };
-        // Aggregate this write's GC work (the worker owns the device, so
-        // the stats delta is exactly this submission's).
+        dev.set_degradation(factor);
+        let completion = dev.submit(&item.req, issue);
+        // Aggregate this write's GC work (the dispatcher owns the device,
+        // so the stats delta is exactly this submission's).
         let after = dev.gc_stats();
         let host = after.host_pages - before.host_pages;
         let gc_pages = after.gc_pages - before.gc_pages;
@@ -1347,24 +1286,20 @@ fn serve_write_copy(
 fn settle_write_copy(
     engine: &Engine,
     item: &WorkItem,
-    sink: &WriteSink,
+    sink: &mut WriteSink,
     outcome: Option<Completion>,
 ) {
     match &outcome {
-        Some(c) => {
-            sink.latest_finish.fetch_max(c.finish, Ordering::Relaxed);
-        }
-        None => {
-            sink.lost.store(true, Ordering::Relaxed);
-        }
+        Some(c) => sink.latest_finish = sink.latest_finish.max(c.finish),
+        None => sink.lost = true,
     }
-    if sink.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+    sink.remaining -= 1;
+    if sink.remaining != 0 {
         return; // copies still outstanding; they will settle
     }
     // Last copy: settle the logical write.
-    let lost = sink.lost.load(Ordering::Relaxed);
-    let finish = sink.latest_finish.load(Ordering::Relaxed);
-    if lost {
+    let finish = sink.latest_finish;
+    if sink.lost {
         engine.stats.write_lost.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &item.tenant {
             t.counters.write_lost.fetch_add(1, Ordering::Relaxed);
@@ -1407,7 +1342,7 @@ struct HedgeCandidate {
 /// `hedges_cancelled` for the cancelled primary — never both.
 fn hedge_and_settle(
     engine: &Engine,
-    primary_dev: &mut CalibratedSsd,
+    devs: &mut Devices,
     item: &WorkItem,
     exec_window: u64,
     threshold: Option<u64>,
@@ -1453,71 +1388,62 @@ fn hedge_and_settle(
     // Winning hedge, if any: (device, service_start, finish).
     let mut winner: Option<(usize, u64, u64)> = None;
     let mut winner_finish = completion.finish;
-    {
-        // One hedge-lock hold covers place → compare → rollback, so the
-        // frontier restore is exact (nothing else moves in between).
-        let mut hs = engine.hedge.lock();
-        let mut placed: Vec<(usize, u64, u64)> = Vec::new(); // (dev, prev_busy, finish)
-        for attempt in 1..=cfg.retry_limit as u64 {
-            if winner_finish <= item.deadline {
-                break;
-            }
-            // Attempt 1 (the hedge) fires immediately off the primary's
-            // projection — completions are known at submit in simulated
-            // time, so the speculative read starts with the window's
-            // execution phase. Each later attempt models a re-issue after
-            // one more backoff period.
-            let issue = item.exec_start + (attempt - 1) * cfg.retry_backoff_ns;
-            // A hedge starts after the primary work its target has
-            // accepted so far AND after every speculative read already
-            // parked there.
-            let Some(ci) = (0..cands.len())
-                .filter(|&i| !cands[i].tried)
-                .min_by_key(|&i| {
-                    let dev = cands[i].dev;
-                    hs.busy[dev].max(hs.spec[dev]).max(issue) + cands[i].believed_ns
-                })
-            else {
-                break;
-            };
-            let dev = cands[ci].dev;
-            let start = hs.busy[dev].max(hs.spec[dev]).max(issue);
-            if start + cands[ci].believed_ns >= winner_finish {
-                // Nothing is believed to beat the current winner; further
-                // speculation only burns replica bandwidth.
-                break;
-            }
-            cands[ci].tried = true;
-            let fin = start + cands[ci].actual_ns;
-            placed.push((dev, hs.spec[dev], fin));
-            hs.spec[dev] = fin;
-            if attempt == 1 {
-                hedges_issued += 1;
-            } else {
-                retries += 1;
-            }
-            if fin < winner_finish {
-                winner_finish = fin;
-                winner = Some((dev, start, fin));
-            }
+    let mut placed: Vec<(usize, u64, u64)> = Vec::new(); // (dev, prev_spec, finish)
+    for attempt in 1..=cfg.retry_limit as u64 {
+        if winner_finish <= item.deadline {
+            break;
         }
-        // First-completion-wins: roll every losing attempt back off the
-        // speculative frontier (reverse order restores prior values).
-        for &(dev, prev, fin) in placed.iter().rev() {
-            if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
-                continue;
-            }
-            if hs.spec[dev] == fin {
-                hs.spec[dev] = prev;
-            }
+        // Attempt 1 (the hedge) fires immediately off the primary's
+        // projection — completions are known at submit in simulated time,
+        // so the speculative read starts with the window's execution
+        // phase. Each later attempt models a re-issue after one more
+        // backoff period.
+        let issue = item.exec_start + (attempt - 1) * cfg.retry_backoff_ns;
+        // A hedge starts after the primary work its target has accepted
+        // so far AND after every speculative read already parked there.
+        let start_on = |dev: usize| devs.ssd[dev].next_free(issue).max(devs.spec[dev]);
+        let Some(ci) = (0..cands.len())
+            .filter(|&i| !cands[i].tried)
+            .min_by_key(|&i| start_on(cands[i].dev) + cands[i].believed_ns)
+        else {
+            break;
+        };
+        let dev = cands[ci].dev;
+        let start = start_on(dev);
+        if start + cands[ci].believed_ns >= winner_finish {
+            // Nothing is believed to beat the current winner; further
+            // speculation only burns replica bandwidth.
+            break;
         }
-        // A winning hedge cancels the primary, reclaiming its slot on the
-        // primary frontier. `busy[d]` is owner-written and this worker IS
-        // the owner, so the reclaim cannot race; the guard is belt and
-        // braces.
-        if winner.is_some() && hs.busy[d] == completion.finish && primary_dev.cancel(&completion) {
-            hs.busy[d] = completion.service_start;
+        cands[ci].tried = true;
+        let fin = start + cands[ci].actual_ns;
+        placed.push((dev, devs.spec[dev], fin));
+        devs.spec[dev] = fin;
+        if attempt == 1 {
+            hedges_issued += 1;
+        } else {
+            retries += 1;
         }
+        if fin < winner_finish {
+            winner_finish = fin;
+            winner = Some((dev, start, fin));
+        }
+    }
+    // First-completion-wins: roll every losing attempt back off the
+    // speculative frontier (reverse order restores prior values).
+    for &(dev, prev, fin) in placed.iter().rev() {
+        if winner.is_some_and(|(wd, _, wf)| wd == dev && wf == fin) {
+            continue;
+        }
+        if devs.spec[dev] == fin {
+            devs.spec[dev] = prev;
+        }
+    }
+    // A winning hedge cancels the primary, reclaiming its slot on the
+    // primary frontier (`cancel` only succeeds while nothing is queued
+    // behind it).
+    if winner.is_some() {
+        devs.ssd[d].cancel(&completion);
     }
     if hedges_issued > 0 {
         engine
@@ -1743,12 +1669,7 @@ mod tests {
 
     #[test]
     fn multi_threaded_submitters_never_violate_guarantees() {
-        let s = QosServer::new(
-            ServerConfig::new(QosConfig::paper_9_3_1())
-                .with_workers(4)
-                .with_queue_depth(8),
-        )
-        .unwrap();
+        let s = server();
         // Full reservation: 2 + 2 + 1 = 5 = S(1).
         for (t, r) in [(1u64, 2usize), (2, 2), (3, 1)] {
             s.register(t, r, OverloadPolicy::Delay).unwrap();

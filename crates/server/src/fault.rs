@@ -3,7 +3,7 @@
 //! An `(N, c, 1)` declustering tolerates any `c − 1` device failures with
 //! zero data loss ([`fqos_decluster::retrieval::degraded`]), and the online
 //! engine must keep its per-interval guarantee through them: a failed
-//! device may never stall a worker queue or silently blow a deadline.
+//! device may never stall dispatch or silently blow a deadline.
 //!
 //! The [`FaultPlane`] is the engine's shared view of device health, driven
 //! by three sources:
@@ -16,7 +16,7 @@
 //!   [`crate::QosServer::degrade_device`]), which take effect at the next
 //!   unsealed window, and
 //! * the **latency health scorer**: an EWMA + windowed-quantile tracker
-//!   over per-device completion latencies reported by the worker pool,
+//!   over per-device completion latencies reported by the dispatcher,
 //!   classifying each device [`DeviceHealth::Healthy`] / `Suspect` /
 //!   `Slow`.
 //!
@@ -41,15 +41,15 @@
 //! Detection is the scorer's job: once enough anomalous completions
 //! promote a device to `Slow`, its bit enters [`FaultPlane::live_slow_mask`]
 //! and *new* window schedules exclude it exactly like a failed device,
-//! while in-flight work drains (hedged against healthy replicas by the
-//! worker pool, see `engine.rs`). A `Slow` device starves of samples once
+//! while in-flight work drains (hedged against healthy replicas at
+//! dispatch, see `engine.rs`). A `Slow` device starves of samples once
 //! excluded, so the dispatcher probes it again after
 //! [`HealthParams::probe_windows`] sealed windows without observations.
 //!
 //! Lock classes owned by this module (see DESIGN.md "Concurrency
 //! invariants"): `fault.inner` (event timeline) and `fault.health` (scorer
-//! state) — both leaves, acquired by workers holding no other lock and by
-//! the dispatcher under `engine.dispatch`.
+//! state) — both leaves, acquired by admission holding no other lock and
+//! by the dispatcher under `engine.dispatch`.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::Mutex;
@@ -496,7 +496,7 @@ struct HealthBoard {
 /// Shared device-health view plus the degraded-serving audit counters.
 ///
 /// Owned by the engine, consulted by the window ring on every admission and
-/// seal and by every worker completion. All counter reads/writes are
+/// seal and by every device completion. All counter reads/writes are
 /// relaxed atomics; the event timeline sits behind one small mutex
 /// (`fault.inner`) with a lock-free fast path while no fault has ever been
 /// scripted or injected, and the scorer behind another (`fault.health`).
@@ -509,7 +509,7 @@ pub struct FaultPlane {
     /// False until the first event exists: lets the healthy hot path skip
     /// the timeline lock entirely.
     any: AtomicBool,
-    /// False until a fail-slow event exists: lets workers skip the
+    /// False until a fail-slow event exists: lets dispatch skip the
     /// per-completion factor lookup on healthy arrays.
     any_slow: AtomicBool,
     /// Bitmap of devices the scorer currently classifies `Slow`. Excluded
@@ -528,7 +528,7 @@ pub struct FaultPlane {
     recoveries: AtomicU64,
     retries: AtomicU64,
     /// Per-device write-amplification EWMA, fixed-point `×256`
-    /// (`256` = WA 1.0). Written only by the device's owning worker;
+    /// (`256` = WA 1.0). Written only by the dispatcher;
     /// read by window admission to size the GC-pressure reserve.
     gc_pressure: Vec<AtomicU64>,
     /// False until the first GC observation: keeps the per-seal decay a
@@ -663,7 +663,7 @@ impl FaultPlane {
     }
 
     /// Record one completion's service latency for the scorer. Called by
-    /// workers after every (non-cancelled) device completion; takes only
+    /// the dispatcher after every (non-cancelled) device completion; takes only
     /// the `fault.health` leaf lock.
     pub fn observe(&self, device: usize, service_ns: u64, window: u64) {
         let mut board = self.health.lock();
@@ -837,8 +837,8 @@ impl FaultPlane {
     /// Record the FTL outcome of one host write on `device`: `programmed`
     /// total page programs (host + GC relocations) for `host` host pages.
     /// Feeds the write-amplification EWMA (α = 1/8) behind the GC-pressure
-    /// admission reserve. Each device is written by exactly one worker, so
-    /// plain load/store suffices.
+    /// admission reserve. Only the dispatcher (under `engine.dispatch`)
+    /// writes it, so plain load/store suffices.
     pub fn observe_gc(&self, device: usize, host: u64, programmed: u64) {
         let Some(cell) = self.gc_pressure.get(device) else {
             return;
@@ -1004,7 +1004,7 @@ impl FaultPlane {
     }
 
     /// Deadline-aware re-dispatches: seal-time drains off a detected-slow
-    /// device plus worker-side backoff retry hops past the first hedge.
+    /// device plus dispatch-side backoff retry hops past the first hedge.
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }

@@ -15,11 +15,10 @@
 //!                           │     (one augmenting path) /  │  ≤ M per device
 //!                           │     EFT replica selection    │
 //!                           ├──────────────────────────────┤
-//!                           │ dispatcher (watermark seal)  │  in-order,
-//!                           │   └ bounded worker queues    │  backpressure
-//!                           ├──────────────────────────────┤
-//!                           │ worker pool (device % W)     │  FCFS device
-//!                           │   └ CalibratedSsd models     │  service loops
+//!                           │ dispatcher (watermark seal)  │  in-order seal,
+//!                           │   └ CalibratedSsd models     │  FCFS device
+//!                           │     (served on the sealing   │  service, hedges
+//!                           │      thread, under the lock) │  on spare time
 //!                           └──────────────────────────────┘
 //!                                        │
 //!                                        ▼

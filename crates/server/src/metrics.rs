@@ -95,7 +95,7 @@ impl LatencyHistogram {
 }
 
 /// Per-tenant serving counters (shared via `Arc` between the registry and
-/// the worker pool).
+/// the dispatcher).
 #[derive(Debug, Default)]
 pub struct TenantCounters {
     /// Requests admitted under the deterministic guarantee.

@@ -22,7 +22,7 @@ pub struct Tenant {
     pub reserved: usize,
     /// What happens to this tenant's requests when a window is full.
     pub policy: OverloadPolicy,
-    /// Serving counters, shared with the worker pool.
+    /// Serving counters, shared with the dispatcher.
     pub counters: TenantCounters,
     /// Cleared on deregistration. The record itself stays in its shard so
     /// seal-time settlement can still credit in-flight admissions — a

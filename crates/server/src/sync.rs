@@ -2,11 +2,11 @@
 //! behind one import point.
 //!
 //! By default this re-exports the production primitives (`parking_lot`
-//! locks, `crossbeam` channels, `std` atomics and threads). Under the
-//! `model-check` feature the same names resolve to the `interleave` model
-//! checker's instrumented twins, so `engine.rs`, `window.rs`,
-//! `registry.rs` and `fault.rs` can be schedule-explored unmodified — the
-//! checked code and the shipped code are the same code.
+//! locks, `std` atomics). Under the `model-check` feature the same names
+//! resolve to the `interleave` model checker's instrumented twins, so
+//! `engine.rs`, `window.rs`, `registry.rs` and `fault.rs` can be
+//! schedule-explored unmodified — the checked code and the shipped code
+//! are the same code.
 //!
 //! The one deliberate exception is `metrics.rs`, which stays on `std`
 //! atomics directly: its counters are write-only leaves that never feed
@@ -15,17 +15,9 @@
 //! DESIGN.md, "Concurrency invariants").
 
 #[cfg(feature = "model-check")]
-pub(crate) use interleave::channel;
-#[cfg(feature = "model-check")]
 pub(crate) use interleave::sync::{atomic, Arc, Mutex, MutexGuard, RwLock};
-#[cfg(feature = "model-check")]
-pub(crate) use interleave::thread;
 
-#[cfg(not(feature = "model-check"))]
-pub(crate) use crossbeam::channel;
 #[cfg(not(feature = "model-check"))]
 pub(crate) use parking_lot::{Mutex, MutexGuard, RwLock};
 #[cfg(not(feature = "model-check"))]
 pub(crate) use std::sync::{atomic, Arc};
-#[cfg(not(feature = "model-check"))]
-pub(crate) use std::thread;

@@ -150,8 +150,8 @@ pub(crate) struct SealedItem {
     pub req: IoRequest,
     /// Admitted under the deterministic guarantee (vs statistical overflow).
     pub guaranteed: bool,
-    /// Bitmap of every replica device holding this block — the worker's
-    /// hedge candidates beyond the assigned one.
+    /// Bitmap of every replica device holding this block — the hedge
+    /// candidates beyond the assigned one.
     pub replica_mask: u64,
     /// Write fan-out only: `(group, fanout)` — this item is one of
     /// `fanout` replica copies of logical write `group` within its window.
@@ -227,8 +227,9 @@ impl WindowRing {
     }
 
     /// Lock `window`'s slot, (re-)initializing it on first touch. Panics if
-    /// the slot still holds an unsealed *older* window — that means
-    /// submitter clocks drifted further apart than the ring covers.
+    /// the slot still holds an unsealed *older* window — submitter clocks
+    /// drifted further apart than the ring covers, which the engine's
+    /// submit path prevents by waiting for the seal to catch up.
     fn locked(&self, window: u64) -> MutexGuard<'_, SlotState> {
         let mut s = self.slot(window).lock();
         if !s.active {
@@ -336,8 +337,8 @@ impl WindowRing {
     /// **every** replica the window can schedule (`c×` capacity), not one
     /// of `c` — a copy must land on each device. Replicas excluded by the
     /// admission view (failed or detected-slow) are not charged; the
-    /// fan-out at seal still targets all replicas and the worker's bounded
-    /// retry decides whether an excluded copy settles or the logical write
+    /// fan-out at seal still targets all replicas and the dispatcher's
+    /// bounded retry decides whether an excluded copy settles or the logical write
     /// is charged `write_lost`.
     ///
     /// Writes are never parked as best-effort overflow: when the window
@@ -658,7 +659,7 @@ impl WindowRing {
                     DegradedAdmit::Unavailable => {
                         // Every replica failed or condemned slow. A slow
                         // replica is still live: keep the block on the
-                        // least-loaded one (the worker-side hedge and
+                        // least-loaded one (the dispatch-side hedge and
                         // deadline audit pick it up) instead of losing
                         // readable data. Only an all-failed set — beyond
                         // the c − 1 tolerance — is lost: counted, audited,
@@ -748,7 +749,7 @@ fn mask_of(replicas: &[usize]) -> u64 {
 /// Emit one [`SealedItem`] per replica copy of a logical write, all tagged
 /// with the same `(group, fanout)` so the engine settles the write once
 /// every copy lands. The fan-out deliberately includes replicas the window
-/// did not charge (failed/slow at admission): the worker's bounded retry
+/// did not charge (failed/slow at admission): the dispatcher's bounded retry
 /// against the live health view decides each copy's fate.
 fn fan_out_write(
     items: &mut Vec<SealedItem>,
@@ -1171,7 +1172,7 @@ mod tests {
         assert_eq!(
             sealed.items.len(),
             2,
-            "fan-out still targets the failed replica; the worker decides its fate"
+            "fan-out still targets the failed replica; dispatch decides its fate"
         );
         assert!(sealed.items.iter().all(|i| i.write_group == Some((0, 2))));
     }

@@ -91,13 +91,11 @@ pub struct Scenario {
     pub windows: u64,
     /// RNG stream id; vary to decorrelate scenarios within one suite.
     pub stream: u64,
-    pub workers: usize,
-    pub queue_depth: usize,
     /// Fraction of the trace issued as writes (fanned out to every
     /// replica by the engine). 0.0 keeps the historical read-only stream
     /// byte-identical — the op draw is skipped entirely.
     pub write_fraction: f64,
-    /// FTL write/GC model attached to every worker device.
+    /// FTL write/GC model attached to every device.
     pub gc: Option<GcConfig>,
     /// Speculative re-dispatch of late reads (on by default, matching the
     /// server default); GC-storm scenarios compare both settings.
@@ -122,8 +120,6 @@ impl Scenario {
             tenants: Vec::new(),
             windows: 60,
             stream: 0,
-            workers: 4,
-            queue_depth: 16,
             write_fraction: 0.0,
             gc: None,
             hedging: true,
@@ -138,7 +134,7 @@ impl Scenario {
         self
     }
 
-    /// Attach an FTL write/GC model to every worker device.
+    /// Attach an FTL write/GC model to every device.
     pub fn gc(mut self, gc: GcConfig) -> Self {
         self.gc = Some(gc);
         self
@@ -181,8 +177,6 @@ impl Scenario {
         let interval_ns = self.qos.interval_ns;
         let pool = AllocationScheme::num_buckets(&self.qos.scheme) as u64;
         let mut cfg = ServerConfig::new(self.qos)
-            .with_workers(self.workers)
-            .with_queue_depth(self.queue_depth)
             .with_assignment(self.mode)
             .with_fault_schedule(self.schedule)
             .with_hedging(self.hedging);
@@ -333,18 +327,16 @@ impl Scenario {
     }
 
     /// Serialize for `FQOS_CRASH_SCENARIO`:
-    /// `n,c,m,windows,stream,workers,queue_depth,writepct;tenant:rate:policy;...`
+    /// `n,c,m,windows,stream,writepct;tenant:rate:policy;...`
     /// (policy `d`elay / `r`eject; `writepct` is the write fraction in
     /// percent). Requires [`Scenario::sized`].
     pub fn to_spec(&self) -> String {
         let (n, c, m) = self.design;
         assert!(n != 0, "to_spec needs a Scenario::sized scenario");
         let mut spec = format!(
-            "{n},{c},{m},{},{},{},{},{}",
+            "{n},{c},{m},{},{},{}",
             self.windows,
             self.stream,
-            self.workers,
-            self.queue_depth,
             (self.write_fraction * 100.0).round() as u64
         );
         for &(t, r, p) in &self.tenants {
@@ -365,17 +357,11 @@ impl Scenario {
             .split(',')
             .map(|v| v.parse().expect("spec number"))
             .collect();
-        assert_eq!(
-            nums.len(),
-            8,
-            "spec head: n,c,m,windows,stream,workers,depth,writepct"
-        );
+        assert_eq!(nums.len(), 6, "spec head: n,c,m,windows,stream,writepct");
         let mut s = Scenario::sized(nums[0] as usize, nums[1] as usize, nums[2] as usize);
         s.windows = nums[3];
         s.stream = nums[4];
-        s.workers = nums[5] as usize;
-        s.queue_depth = nums[6] as usize;
-        s.write_fraction = nums[7] as f64 / 100.0;
+        s.write_fraction = nums[5] as f64 / 100.0;
         for t in parts {
             let f: Vec<&str> = t.split(':').collect();
             assert_eq!(f.len(), 3, "tenant spec: id:rate:policy");
@@ -399,8 +385,6 @@ impl Scenario {
         let (n, c, m) = self.design;
         assert!(n != 0, "wal_config needs a Scenario::sized scenario");
         ServerConfig::new(qos(n, c, m))
-            .with_workers(self.workers)
-            .with_queue_depth(self.queue_depth)
             .with_assignment(self.mode)
             .with_wal(wal_dir)
             .with_wal_fsync_batch(1)

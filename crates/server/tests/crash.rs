@@ -210,7 +210,6 @@ fn recovery_stops_at_a_corrupt_mid_file_frame_and_truncates() {
     let wal_dir = scratch_path("wal-bitrot");
     let cfg = || {
         ServerConfig::new(qos(9, 3, 2))
-            .with_workers(2)
             .with_wal(&wal_dir)
             .with_wal_fsync_batch(1)
             // No compaction: keep every frame in wal.log so a mid-file
@@ -293,8 +292,6 @@ fn the_window_ring_survives_a_double_lap_across_the_recovery_boundary() {
     let wal_dir = scratch_path("wal-lap");
     let cfg = || {
         ServerConfig::new(qos(9, 3, 2))
-            .with_workers(2)
-            .with_queue_depth(8)
             .with_ring_slots(8)
             .with_delay_horizon(2)
             .with_wal(&wal_dir)

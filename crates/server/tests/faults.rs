@@ -260,10 +260,10 @@ fn fail_slow_hedging_keeps_the_tail_inside_the_deadline() {
         off.admitted_total()
     );
     // The tail claim is relative: hedging must eliminate the bulk of the
-    // misses the control arm demonstrates. An absolute budget (this used
-    // to be 1%) is a knife-edge under single-core scheduler jitter — the
-    // scorer's condemnation point shifts with worker interleaving — while
-    // a broken reaction path lands at the control arm's full miss count.
+    // misses the control arm demonstrates. An absolute budget is a
+    // knife-edge — the scorer's condemnation point shifts with any change
+    // to the trace or the scorer's knobs — while a broken reaction path
+    // lands at the control arm's full miss count.
     assert!(
         on.deadline_violations * 2 <= off.deadline_violations,
         "hedging on: {} misses vs {} unhedged — hedging no longer \
@@ -349,6 +349,39 @@ fn window_ring_wraparound_recycles_fault_views() {
         "both laps' failure spans ran degraded, saw {}",
         m.degraded_windows
     );
+}
+
+/// A seeded mixed read/write run with the GC model and hedging on, through
+/// one handle, reproduces bit for bit: every window is served on the
+/// sealing thread before the next seals, so device-health samples (and
+/// the hedge and steering decisions they drive) land in one fixed order.
+#[test]
+fn seeded_mixed_gc_run_repeats_exactly() {
+    let run = || {
+        let geometry = FtlGeometry {
+            dies: 1,
+            blocks_per_die: 12,
+            pages_per_block: 4,
+            overprovision: 0.25,
+        };
+        let mut gc = GcConfig::new(geometry);
+        gc.erase_ns = fqos_flashsim::BLOCK_READ_NS / 16;
+        Scenario::new(qos(9, 3, 2), FaultSchedule::new())
+            .windows(300)
+            .stream(23)
+            .write_fraction(0.3)
+            .gc(gc)
+            .tenant(1, 2, OverloadPolicy::Delay)
+            .tenant(2, 1, OverloadPolicy::Delay)
+            .replay()
+            .metrics
+    };
+    let (a, b) = (run(), run());
+    assert!(a.gc_erases > 0, "GC never ran: {a:#?}");
+    assert!(a.hedges_issued > 0, "no read was hedged: {a:#?}");
+    assert_eq!(a.max_latency_ns, b.max_latency_ns);
+    // Every counter, quantile and per-tenant figure of the snapshot.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 /// The GC-storm robustness claim, deterministically: sustained writes on a

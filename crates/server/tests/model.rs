@@ -1,7 +1,7 @@
 //! Bounded exhaustive model checking of the engine's concurrency protocol.
 //!
 //! Only built with `--features model-check`: the facade in `src/sync.rs`
-//! swaps every lock, channel, atomic and thread the engine uses for the
+//! swaps every lock and atomic the engine uses for the
 //! [`interleave`] crate's instrumented twins, and each test below runs a
 //! small end-to-end scenario under [`interleave::model_with`], which
 //! re-executes the closure once per distinct thread schedule (DFS over
@@ -20,14 +20,17 @@
 //! - **Deadline audit**: no guaranteed-deadline violations unless a live
 //!   fault forced the overload path (`fault_overloads > 0`).
 //! - **Deadlock freedom**: the scenario runs to completion — submitters
-//!   join, `finish` drains the workers — on every schedule.
+//!   join, `finish` seals and serves the tail — on every schedule.
 //!
-//! Scenarios are deliberately small (2 workers, an 8-slot ring, one or two
-//! requests per submitter) so the preemption-bounded state space stays in
-//! the thousands of schedules while still covering the races named in the
-//! design notes: admission vs. seal, live fault injection vs. seal,
-//! live degradation vs. the hedge decision, and handle drop / shutdown
-//! vs. the final drain.
+//! The engine spawns no threads: whichever submitter's pump seals a window
+//! serves it on the spot. The races are therefore between submitters (and
+//! control-plane callers) and whichever thread is sealing. Scenarios are
+//! deliberately small (an 8-slot ring, one to three requests per
+//! submitter) so the preemption-bounded state space stays in the thousands
+//! of schedules while still covering the races named in the design notes:
+//! admission vs. seal, live fault injection vs. seal, live degradation vs.
+//! the seal that serves (and may hedge) a request, and handle drop /
+//! shutdown vs. the final drain.
 
 #![cfg(feature = "model-check")]
 
@@ -37,14 +40,11 @@ use fqos_core::{OverloadPolicy, QosConfig};
 use fqos_server::{FtlGeometry, GcConfig, IoOp, QosServer, ServerConfig, SubmitOutcome};
 use interleave::{model_with, Config, Report};
 
-/// A 2-worker, 8-slot-ring configuration small enough for exhaustive
-/// schedule exploration: single registry shard, depth-2 worker queues,
-/// greedy EFT assignment (replica choice resolved at submit, so seal-time
-/// work is the drain itself).
+/// An 8-slot-ring configuration small enough for exhaustive schedule
+/// exploration: single registry shard, greedy EFT assignment (replica
+/// choice resolved at submit, so seal-time work is the drain itself).
 fn model_cfg() -> ServerConfig {
     let mut cfg = ServerConfig::new(QosConfig::paper_9_3_1())
-        .with_workers(2)
-        .with_queue_depth(2)
         .with_ring_slots(8)
         .with_delay_horizon(2)
         .with_assignment(fqos_server::AssignmentMode::Eft);
@@ -90,7 +90,7 @@ fn report_and_check(name: &str, report: Report, floor: u64) {
 }
 
 /// Two submitter threads race admission into overlapping windows against
-/// each other's seal-advancing pumps and the worker drain. Checks
+/// each other's seal-and-serve pumps. Checks
 /// conservation and the guaranteed-deadline audit on every schedule.
 #[test]
 fn admission_vs_seal_conserves_requests() {
@@ -180,10 +180,9 @@ fn inject_fault_vs_seal_conserves_requests() {
 }
 
 /// Shutdown-drain race: one submitter drops its handle after a single
-/// request while the other keeps admitting, then `finish` force-closes,
-/// seals the tail and joins the 2-worker pool. Every admitted request
-/// must be served on every schedule — the drain may not strand items in
-/// the ring or the worker queues.
+/// request while the other keeps admitting, then `finish` force-closes
+/// and seals the tail. Every admitted request must be served on every
+/// schedule — the drain may not strand items in the ring.
 #[test]
 fn shutdown_drain_loses_nothing() {
     let bounds = Config {
@@ -271,9 +270,7 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
         ..Config::default()
     };
     let report = model_with(bounds, || {
-        // One worker per array keeps the thread count at five (two
-        // workers + submitter + migrator + root).
-        let mut src_cfg = model_cfg().with_workers(1);
+        let mut src_cfg = model_cfg();
         src_cfg.shards = 1;
         let dst_cfg = src_cfg.clone();
         let src = QosServer::new(src_cfg).unwrap();
@@ -325,14 +322,15 @@ fn rebalance_vs_seal_conserves_the_cluster_law() {
     report_and_check("rebalance-vs-seal", report, 1000);
 }
 
-/// A live `degrade_device` races admission, dispatch and the hedge
-/// decision: an injector thread silently slows the primary replica 10×
-/// and then restores it while a submitter pushes two same-bucket
-/// requests through. Depending on where the degradation lands, the slow
-/// primary finishes past its deadline and is hedged onto a sibling
-/// replica (first completion wins, the loser is cancelled), the scorer's
-/// verdict reroutes the second request at seal, or the window drains
-/// before the slowdown bites. Whatever the schedule, the extended
+/// A live `degrade_device` races admission and the seal that serves (and
+/// may hedge) the window: an injector thread silently slows the primary
+/// replica 10× and then restores it — each under the dispatch lock — while
+/// a submitter pushes two same-bucket requests through and its own pumps
+/// seal and serve them. Depending on where the degradation lands relative
+/// to that seal, the slow primary finishes past its deadline and is hedged
+/// onto a sibling replica (first completion wins, the loser is cancelled),
+/// the scorer's verdict reroutes the second request at seal, or the window
+/// is served before the slowdown bites. Whatever the schedule, the extended
 /// conservation law must balance — every admission completes exactly
 /// once, and a hedge win cancels exactly one primary — and nothing may
 /// be lost: a slow device is degraded, not dead.
@@ -378,8 +376,7 @@ fn hedge_vs_seal_conserves_requests() {
 
 /// The WAL ordering invariant under every explored schedule: two racing
 /// submitters append admit records (under the `engine.wal` leaf lock)
-/// while seals and worker completions append seal/settle records from
-/// other threads. On no schedule may a settlement reach the log before
+/// while whichever thread seals appends seal and settle records. On no schedule may a settlement reach the log before
 /// its admission is durable-ordered ahead of it — the log's own replay
 /// state machine counts any such inversion (settle without a pending
 /// durable admit, admit below the sealed floor, double seal) in
@@ -426,8 +423,11 @@ fn wal_append_vs_settle_orders_every_schedule() {
 /// point the evacuation ledger depends on: the residue charged to
 /// `evacuation_lost` is computed from the frozen snapshot, so an
 /// admission acked to the client but missing from that snapshot would
-/// silently vanish from the cluster conservation law. On every schedule:
-/// each submit either lands in the frozen snapshot or is refused as
+/// silently vanish from the cluster conservation law. The submitter's
+/// last two requests arrive in the next window, so its pump seals and
+/// serves window 0 somewhere in the race — before the kill, or after it, when the
+/// seal drops the window's items on the floor. On every schedule: each
+/// submit either lands in the frozen snapshot or is refused as
 /// `ServerStopping` (never a hang, never an unaccounted ack), and the
 /// extended per-array law closes exactly once the stranded residue is
 /// added back.
@@ -439,15 +439,18 @@ fn kill_vs_submit_freezes_every_ack_into_the_ledger() {
         ..Config::default()
     };
     let report = model_with(bounds, || {
-        let server = QosServer::new(model_cfg().with_workers(1)).unwrap();
+        let server = QosServer::new(model_cfg()).unwrap();
+        let t_ns = server.config().qos.interval_ns;
         server.register(1, 2, OverloadPolicy::Delay).unwrap();
         let mut h = server.handle();
-        let submitter = interleave::thread::spawn(move || submit_all(&mut h, 1, &[(0, 0), (1, 0)]));
+        let submitter = interleave::thread::spawn(move || {
+            submit_all(&mut h, 1, &[(0, 0), (1, 0), (2, t_ns), (3, t_ns)])
+        });
         // Root plays the failure injector: halt without draining while
         // the submitter is (possibly) mid-call.
         let frozen = server.halt();
         let t = submitter.join().unwrap();
-        assert_eq!(t.admitted + t.rejected, 2, "a submit hung across the kill");
+        assert_eq!(t.admitted + t.rejected, 4, "a submit hung across the kill");
         // Every ack the client saw is in the frozen snapshot, and every
         // admission the snapshot counts was acked: the ledger charge
         // (residue of `frozen`) misses nothing the client was promised.
@@ -486,7 +489,7 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
         ..Config::default()
     };
     let report = model_with(bounds, || {
-        let survivor = QosServer::new(model_cfg().with_workers(1)).unwrap();
+        let survivor = QosServer::new(model_cfg()).unwrap();
         let t_ns = survivor.config().qos.interval_ns;
         // Tenant 1 is native to the survivor; tenant 2 arrives by
         // evacuation while 1's submitter keeps windows sealing.
@@ -529,11 +532,10 @@ fn evacuate_vs_seal_lands_the_displaced_tenant_exactly_once() {
 }
 
 /// Write fan-out races the seal: two submitter threads push writes (plus
-/// one read) through overlapping windows while seals dispatch each write
-/// to all three of its bucket's replicas. The settle is a
-/// `fetch_sub(1, AcqRel) == 1` on the group's remaining-copies counter,
-/// so depending on the schedule the last copy lands before, during, or
-/// after the next window's seal. On every schedule the extended law must
+/// one read) through overlapping windows while seals serve each write on
+/// all three of its bucket's replicas; the last copy to land settles the
+/// logical write. Depending on the schedule either submitter's pump seals
+/// either window, before or after the other's admissions. On every schedule the extended law must
 /// close — `served + write_settled + fault_lost + hedges_cancelled +
 /// write_lost == admitted_total` — each logical write settles exactly
 /// once (never once per replica), and no write is lost with every device
@@ -593,11 +595,11 @@ fn write_fanout_vs_seal_settles_each_group_once() {
     report_and_check("write-fanout-vs-seal", report, 1000);
 }
 
-/// A GC stall races the hedge decision: writes into a four-page FTL force
-/// garbage collection whose erase stalls land on the same replicas a
-/// racing read's dispatch and hedge logic are timing against, while an
-/// injector degrades and restores one replica to push the scorer toward
-/// speculation. Whatever the schedule: the extended law closes, only the
+/// A GC stall meets the hedge decision: writes into a four-page FTL force
+/// garbage collection whose erase stalls land on the same replicas the
+/// read's dispatch and hedge logic time against, while an injector
+/// degrades and restores one replica — racing the seal that serves the
+/// window — to push the scorer toward speculation. Whatever the schedule: the extended law closes, only the
 /// read may ever be hedged (a write fans out to every replica already —
 /// duplicating one would double-program a page), each write settles
 /// exactly once, and a stalled-but-live device loses nothing.

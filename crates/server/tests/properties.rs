@@ -91,8 +91,6 @@ proptest! {
         let mode = if eft { AssignmentMode::Eft } else { AssignmentMode::OptimalFlow };
         let server = QosServer::new(
             ServerConfig::new(qos)
-                .with_workers(rng.gen_range(1..=4))
-                .with_queue_depth(rng.gen_range(1..=8))
                 .with_assignment(mode),
         )
         .map_err(proptest::TestCaseError::fail)?;
@@ -161,7 +159,7 @@ proptest! {
         let qos = qos_for(design_idx, m, 0.25);
         let limit = qos.request_limit();
         let t_ns = qos.interval_ns;
-        let server = QosServer::new(ServerConfig::new(qos).with_workers(2))
+        let server = QosServer::new(ServerConfig::new(qos))
             .map_err(proptest::TestCaseError::fail)?;
         server
             .register(1, limit, OverloadPolicy::Reject)

@@ -13,6 +13,7 @@ mod common;
 use fqos_core::{OverloadPolicy, QosConfig};
 use fqos_server::{AssignmentMode, QosServer, ServerConfig, SubmitOutcome};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const T2: u64 = 2 * 133_000; // interval for M = 2
@@ -22,8 +23,7 @@ const T2: u64 = 2 * 133_000; // interval for M = 2
 fn per_tenant_threads_with_bursts() {
     let qos = QosConfig::paper_9_3_1().with_accesses(2); // S(2) = 14
     let limit = qos.request_limit();
-    let server =
-        QosServer::new(ServerConfig::new(qos).with_workers(4).with_queue_depth(4)).unwrap();
+    let server = QosServer::new(ServerConfig::new(qos)).unwrap();
     let plan: &[(u64, usize, OverloadPolicy)] = &[
         (1, 5, OverloadPolicy::Delay),
         (2, 4, OverloadPolicy::Delay),
@@ -89,8 +89,7 @@ fn per_tenant_threads_with_bursts() {
 fn shared_tenant_contention() {
     let qos = QosConfig::paper_9_3_1().with_accesses(2);
     let limit = qos.request_limit();
-    let server =
-        QosServer::new(ServerConfig::new(qos).with_workers(3).with_queue_depth(8)).unwrap();
+    let server = QosServer::new(ServerConfig::new(qos)).unwrap();
     server.register(7, limit, OverloadPolicy::Delay).unwrap();
     let server = Arc::new(server);
     let threads: Vec<_> = (0..6u64)
@@ -119,18 +118,14 @@ fn shared_tenant_contention() {
     assert!(m.delayed > 0);
 }
 
-/// queue_depth = 1: maximum backpressure must throttle, not deadlock or
-/// corrupt accounting.
+/// Two submitters fill every window to `S(M)` under EFT assignment: both
+/// seal and serve windows on their own threads, and neither may deadlock
+/// the other or corrupt the accounting.
 #[test]
-fn backpressure_with_depth_one_queues() {
+fn two_submitters_fill_eft_windows_to_the_limit() {
     let qos = QosConfig::paper_9_3_1(); // M = 1, S = 5
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(2)
-            .with_queue_depth(1)
-            .with_assignment(AssignmentMode::Eft),
-    )
-    .unwrap();
+    let server =
+        QosServer::new(ServerConfig::new(qos).with_assignment(AssignmentMode::Eft)).unwrap();
     server.register(1, 3, OverloadPolicy::Delay).unwrap();
     server.register(2, 2, OverloadPolicy::Delay).unwrap();
     let server = Arc::new(server);
@@ -162,8 +157,7 @@ fn backpressure_with_depth_one_queues() {
 #[test]
 fn registration_churn_during_service() {
     let qos = QosConfig::paper_9_3_1().with_accesses(2);
-    let server =
-        QosServer::new(ServerConfig::new(qos).with_workers(4).with_queue_depth(16)).unwrap();
+    let server = QosServer::new(ServerConfig::new(qos)).unwrap();
     server.register(1, 7, OverloadPolicy::Delay).unwrap();
     let server = Arc::new(server);
 
@@ -219,13 +213,7 @@ fn registration_churn_during_service() {
 #[test]
 fn fail_slow_under_concurrent_submitters_conserves() {
     let qos = QosConfig::paper_9_3_1(); // M = 1, S = 5
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(4)
-            .with_queue_depth(8)
-            .with_hedge_min_samples(3),
-    )
-    .unwrap();
+    let server = QosServer::new(ServerConfig::new(qos).with_hedge_min_samples(3)).unwrap();
     server.register(1, 3, OverloadPolicy::Delay).unwrap();
     server.register(2, 2, OverloadPolicy::Delay).unwrap();
     let server = Arc::new(server);
@@ -278,8 +266,7 @@ fn fail_slow_under_concurrent_submitters_conserves() {
 #[test]
 fn statistical_overflow_is_audited_separately() {
     let qos = QosConfig::paper_9_3_1().with_epsilon(0.4);
-    let server =
-        QosServer::new(ServerConfig::new(qos).with_workers(4).with_queue_depth(32)).unwrap();
+    let server = QosServer::new(ServerConfig::new(qos)).unwrap();
     server.register(1, 5, OverloadPolicy::Reject).unwrap();
     let mut h = server.handle();
     // Calm history, then sustained over-subscription.
@@ -312,4 +299,63 @@ fn statistical_overflow_is_audited_separately() {
     // sustained pressure) may be late. ε = 0 paths keep this at zero by
     // construction; here we only require the audit split to be consistent.
     assert!(m.deadline_violations >= m.guaranteed_violations);
+}
+
+/// Submitter clocks drifting apart by more than the window ring: a fast
+/// handle must wait at the ring's edge for a slow one to let the seal
+/// catch up, instead of reusing the slot of a still-open window, and
+/// every admission must settle exactly once.
+#[test]
+fn drift_beyond_the_ring_waits_for_the_seal() {
+    const RING: u64 = 8;
+    const HORIZON: u64 = 2;
+    const WINDOWS: u64 = 5 * RING;
+    let qos = QosConfig::paper_9_3_1(); // M = 1, S = 5
+    let t_ns = qos.interval_ns;
+    let server = QosServer::new(
+        ServerConfig::new(qos)
+            .with_ring_slots(RING as usize)
+            .with_delay_horizon(HORIZON),
+    )
+    .unwrap();
+    server.register(1, 2, OverloadPolicy::Delay).unwrap();
+    server.register(2, 2, OverloadPolicy::Delay).unwrap();
+    let server = Arc::new(server);
+    // Opened first and idle for now: its watermark (0) pins the seal.
+    let mut slow = server.handle();
+    let progress = Arc::new(AtomicU64::new(0));
+    let fast = {
+        let mut h = server.handle();
+        let progress = Arc::clone(&progress);
+        std::thread::spawn(move || {
+            for w in 0..WINDOWS {
+                assert!(h.submit(1, w, w * t_ns).is_admitted());
+                progress.store(w + 1, Ordering::Release);
+            }
+        })
+    };
+    // With the seal pinned at window 0, the fast handle may admit up to
+    // the last window whose delay horizon still fits the ring, no further.
+    let edge = RING - HORIZON;
+    while progress.load(Ordering::Acquire) < edge {
+        std::thread::yield_now();
+    }
+    for _ in 0..10_000 {
+        std::thread::yield_now();
+    }
+    assert_eq!(progress.load(Ordering::Acquire), edge, "ran past the ring");
+    for w in 0..WINDOWS {
+        assert!(slow.submit(2, 100 + w, w * t_ns).is_admitted());
+    }
+    drop(slow);
+    fast.join().unwrap();
+    let m = Arc::into_inner(server).unwrap().finish();
+    assert_eq!(m.admitted_total(), 2 * WINDOWS);
+    assert_eq!(
+        m.served + m.fault_lost + m.hedges_cancelled,
+        m.admitted_total(),
+        "conservation"
+    );
+    assert_eq!(m.fault_lost, 0);
+    assert_eq!(m.guaranteed_violations, 0);
 }

@@ -99,11 +99,6 @@ pub const HIERARCHY: &[(&str, &str)] = &[
         "device health scorer (fault.rs FaultPlane::health)",
     ),
     (
-        "engine.hedge",
-        "hedge frontiers (engine.rs Engine::hedge) — no lock other than \
-         `engine.wal` may be acquired under it",
-    ),
-    (
         "engine.wal",
         "write-ahead log inner state (wal.rs Wal::wal) — leaf: no lock may \
          be acquired under it",
@@ -198,7 +193,6 @@ pub fn acquisitions(file_name: &str, toks: &[Tok]) -> Vec<Acq> {
         ("counters", "lock", "engine.stat_counters", true),
         ("inner", "lock", "fault.inner", true),
         ("health", "lock", "fault.health", true),
-        ("hedge", "lock", "engine.hedge", true),
         ("wal", "lock", "engine.wal", true),
     ];
     let mut out: Vec<Acq> = Vec::new();

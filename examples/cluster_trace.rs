@@ -23,11 +23,8 @@ fn main() {
     let qos = QosConfig::paper_9_3_1(); // S(1) = 5 per array
     let interval_ns = qos.interval_ns;
     let pool = qos.scheme.num_buckets() as u64;
-    let cluster = QosCluster::new(ClusterConfig::uniform(
-        2,
-        &ServerConfig::new(qos).with_workers(4),
-    ))
-    .expect("valid config");
+    let cluster =
+        QosCluster::new(ClusterConfig::uniform(2, &ServerConfig::new(qos))).expect("valid config");
 
     // Deliberate skew: everyone starts on array 0 (5 = S(1) reserved),
     // and tenant 1 will submit 4/window against its reservation of 2.

@@ -4,7 +4,8 @@
 //! (S(2) = 14 block reads per 0.266 ms interval). Each tenant gets its own
 //! submitter thread replaying a timestamped synthetic trace — tenant 3
 //! deliberately bursts past its reservation to show the Delay policy — and
-//! a four-worker pool drives the calibrated device models.
+//! whichever thread seals a window serves it on the calibrated device
+//! models.
 //!
 //! Run with: `cargo run --release --example serve_trace`
 
@@ -16,13 +17,9 @@ fn main() {
     let limit = qos.request_limit(); // S(2) = 14
     let interval_ns = qos.interval_ns;
     let pool = qos.scheme.num_buckets() as u64;
-    let server = QosServer::new(
-        ServerConfig::new(qos)
-            .with_workers(4)
-            .with_queue_depth(32)
-            .with_assignment(AssignmentMode::OptimalFlow),
-    )
-    .expect("valid config");
+    let server =
+        QosServer::new(ServerConfig::new(qos).with_assignment(AssignmentMode::OptimalFlow))
+            .expect("valid config");
 
     // Reservations 7 + 4 + 3 = 14 = S(2): the admission controller is full.
     let plan: &[(u64, usize, usize)] = &[

@@ -13,16 +13,17 @@
 //!     Run a trace through the QoS pipeline and print the per-interval
 //!     report plus the original-layout comparison.
 //!
-//! fqos serve    --devices 9 [--copies 3] [--accesses 1] [--workers 4]
+//! fqos serve    --devices 9 [--copies 3] [--accesses 1]
 //!               [--submitters 3] [--windows 500] [--epsilon 0.0]
-//!               [--queue-depth 64] [--mode flow|eft] [--seed N]
+//!               [--mode flow|eft] [--seed N]
 //!               [--write-ratio F] [--burst HEIGHT@START+LEN] [--gc OP]
 //!               [--fault-schedule "fail:D@W,recover:D@W,slow:D@W[xF],restore:D@W,..."]
 //!               [--no-hedge] [--wal-dir DIR [--wal-batch N] [--wal-snapshot K]]
 //!               [--recover]
 //!     Replay a synthetic timestamped trace through the concurrent serving
-//!     engine: one submitter thread per tenant against a worker pool, then
-//!     print the serving report and the deadline audit. A fault schedule
+//!     engine: one submitter thread per tenant, each sealing and serving
+//!     the windows its handle closes, then print the serving report and
+//!     the deadline audit. A fault schedule
 //!     scripts device failures/recoveries and silent fail-slow episodes
 //!     (`slow:D@W` degrades device D 10× from window W, `slow:D@WxF` by
 //!     factor F, `restore:D@W` heals it) at window boundaries; the audit
@@ -111,8 +112,8 @@ fn print_help() {
     println!("  analyze  --trace FILE --devices N [--copies C] [--interval-ms T]");
     println!("           [--epsilon E] [--mapping fim|modulo|roundrobin] [--reporting-ms R]");
     println!("                                              run the QoS pipeline on a trace");
-    println!("  serve    --devices N [--copies C] [--accesses M] [--workers W]");
-    println!("           [--submitters S] [--windows K] [--epsilon E] [--queue-depth D]");
+    println!("  serve    --devices N [--copies C] [--accesses M]");
+    println!("           [--submitters S] [--windows K] [--epsilon E]");
     println!("           [--write-ratio F] [--gc OP]        make F of the trace writes (fanned");
     println!("           [--burst HEIGHT@START+LEN]         to all replicas), model FTL GC at");
     println!("                                              over-provisioning OP, and spike the");
@@ -127,8 +128,8 @@ fn print_help() {
     println!("                                              logs admissions durably before the");
     println!("                                              ack; --recover replays that log");
     println!("                                              after a crash and resumes the run");
-    println!("  cluster  --arrays N [--devices D] [--copies C] [--accesses M] [--workers W]");
-    println!("           [--submitters S] [--windows K] [--epsilon E] [--queue-depth Q]");
+    println!("  cluster  --arrays N [--devices D] [--copies C] [--accesses M]");
+    println!("           [--submitters S] [--windows K] [--epsilon E]");
     println!("           [--mode flow|eft] [--seed S] [--reserve R]");
     println!("           [--pin \"TENANT:ARRAY,...\"] [--burst \"TENANT:RATE,...\"]");
     println!("           [--fault-schedules \"ARRAY:SPEC;ARRAY:SPEC\"]");
@@ -329,11 +330,9 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let devices: usize = require_num(opts, "devices")?;
     let copies: usize = get_num(opts, "copies", 3)?;
     let accesses: usize = get_num(opts, "accesses", 1)?;
-    let workers: usize = get_num(opts, "workers", 4)?;
     let submitters: usize = get_num(opts, "submitters", 3)?;
     let windows: u64 = get_num(opts, "windows", 500)?;
     let epsilon: f64 = get_num(opts, "epsilon", 0.0)?;
-    let queue_depth: usize = get_num(opts, "queue-depth", 64)?;
     let seed: u64 = get_num(opts, "seed", 0x5EED)?;
     let mode = match opts.get("mode").map(String::as_str) {
         None | Some("flow") => AssignmentMode::OptimalFlow,
@@ -386,8 +385,8 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         None => FaultSchedule::new(),
         Some(spec) => FaultSchedule::parse(spec).map_err(|e| format!("--fault-schedule: {e}"))?,
     };
-    if workers == 0 || submitters == 0 || windows == 0 {
-        return Err("--workers, --submitters and --windows must be positive".into());
+    if submitters == 0 || windows == 0 {
+        return Err("--submitters and --windows must be positive".into());
     }
     // Typed parse-time validation against the array geometry and the run
     // horizon: a schedule naming device 12 of 9 or window 600 of 500 is a
@@ -419,8 +418,6 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         .iter()
         .any(|e| matches!(e.kind, FaultKind::Slow(_)));
     let mut cfg = ServerConfig::new(qos)
-        .with_workers(workers)
-        .with_queue_depth(queue_depth)
         .with_assignment(mode)
         .with_fault_schedule(fault_schedule)
         .with_hedging(hedging);
@@ -492,10 +489,9 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     }
     println!(
         "serving {windows} windows of {:.3} ms on a ({devices},{copies},1) array: \
-         S({accesses}) = {limit}, {} tenants, {} workers, {:?} assignment",
+         S({accesses}) = {limit}, {} tenants, {:?} assignment",
         interval_ns as f64 / 1e6,
         plan.len(),
-        workers.min(devices),
         mode,
     );
 
@@ -750,11 +746,9 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
     let devices: usize = get_num(opts, "devices", 9)?;
     let copies: usize = get_num(opts, "copies", 3)?;
     let accesses: usize = get_num(opts, "accesses", 1)?;
-    let workers: usize = get_num(opts, "workers", 4)?;
     let submitters: usize = get_num(opts, "submitters", 2 * arrays.max(1))?;
     let windows: u64 = get_num(opts, "windows", 200)?;
     let epsilon: f64 = get_num(opts, "epsilon", 0.0)?;
-    let queue_depth: usize = get_num(opts, "queue-depth", 64)?;
     let seed: u64 = get_num(opts, "seed", 0x5EED)?;
     let linger_ms: u64 = get_num(opts, "linger-ms", 0)?;
     let mode = match opts.get("mode").map(String::as_str) {
@@ -764,8 +758,8 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
     };
     let rebalance = !opts.contains_key("no-rebalance");
     let hedging = !opts.contains_key("no-hedge");
-    if arrays == 0 || workers == 0 || submitters == 0 || windows == 0 {
-        return Err("--arrays, --workers, --submitters and --windows must be positive".into());
+    if arrays == 0 || submitters == 0 || windows == 0 {
+        return Err("--arrays, --submitters and --windows must be positive".into());
     }
     // Whole-array chaos: `kill:A@T,restore:A@T,slow:A@T[xF]` at control
     // ticks (one tick per window). Validated against the fleet size by
@@ -828,8 +822,6 @@ fn cmd_cluster(opts: &Options) -> Result<(), String> {
         .into_iter()
         .map(|schedule| {
             ServerConfig::new(qos.clone())
-                .with_workers(workers)
-                .with_queue_depth(queue_depth)
                 .with_assignment(mode)
                 .with_fault_schedule(schedule)
                 .with_hedging(hedging)

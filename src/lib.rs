@@ -21,7 +21,7 @@
 //! | [`decluster`] | `fqos-decluster` | allocation schemes (design-theoretic, RAID-1 × 2, RDA, partitioned, periodic, orthogonal) and retrieval algorithms |
 //! | [`fim`] | `fqos-fim` | Apriori / Eclat / FP-Growth miners and the design-block matcher |
 //! | [`qos`] | `fqos-core` | admission control, online + interval schedulers, the end-to-end pipeline |
-//! | [`server`] | `fqos-server` | concurrent multi-tenant serving engine: thread-safe admission, interval-aligned dispatch, worker pool, metrics |
+//! | [`server`] | `fqos-server` | concurrent multi-tenant serving engine: thread-safe admission, interval-aligned inline dispatch, metrics |
 //! | [`cluster`] | `fqos-cluster` | multi-array fleet tier: consistent-hash tenant routing, ε-budget rebalancing, cluster conservation audit, Prometheus export |
 //!
 //! ## Quickstart
